@@ -465,11 +465,22 @@ fn install_sigint_bridge(stop: std::sync::Arc<std::sync::atomic::AtomicBool>) {
 /// Accepts both on-disk formats: a `wdm simulate --journal` document and a
 /// `wdm serve` write-ahead log (sniffed by its `{"wal":…}` header line).
 pub fn replay(args: &Args) -> Result<(), String> {
+    use std::io::Read;
+
     let path = args.positional(0).ok_or("missing journal file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if text.trim_start().starts_with("{\"wal\":") {
+    // Sniff the format from the first bytes only: a daemon WAL can be far
+    // larger than memory needs to be, and `wal::recover` streams it.
+    let mut head = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(64).read_to_end(&mut head))
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    if String::from_utf8_lossy(&head)
+        .trim_start()
+        .starts_with("{\"wal\":")
+    {
         return replay_wal(args, path);
     }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc: JournalFile =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
 

@@ -667,3 +667,91 @@ fn serve_metrics_answers_prometheus_scrape() {
     reader.read_to_string(&mut rest).ok();
     assert!(rest.contains("scrape(s)"), "{rest}");
 }
+
+/// SIGTERM drains `wdm serve` gracefully. The daemon's accept loop blocks
+/// in `accept`, which a restarting signal handler does not interrupt, so
+/// this pins the path where a worker notices the signal and stops it.
+#[cfg(unix)]
+#[test]
+fn serve_exits_cleanly_on_sigterm() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::time::{Duration, Instant};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let net_path = tmp("sigterm.wdm");
+    let wal_path = tmp("sigterm.wal.jsonl");
+    assert!(wdm()
+        .args(["topology", "nsfnet", "--wavelengths", "8", "--out"])
+        .arg(&net_path)
+        .status()
+        .expect("spawn")
+        .success());
+    let mut child = wdm()
+        .args(["serve", "--port", "0", "--threads", "2", "--net"])
+        .arg(&net_path)
+        .arg("--wal")
+        .arg(&wal_path)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut reader = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("address line");
+    let addr = line
+        .strip_prefix("serving http://")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
+        .to_string();
+
+    // One journalled mutation, so the close line follows a real event.
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let body = "{\"src\":0,\"dst\":13}";
+    write!(
+        conn,
+        "POST /provision HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("answer");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+
+    // SAFETY: kill(2) takes plain integers and touches no memory; the pid
+    // is our own child's, not yet reaped.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("wdm serve did not exit within 10 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "exit status {status:?}");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).ok();
+    assert!(rest.contains("shutdown     clean"), "{rest}");
+
+    let wal = std::fs::read_to_string(&wal_path).expect("wal written");
+    let last = wal.lines().last().expect("non-empty wal");
+    assert!(
+        last.starts_with("{\"final_seq\":1,"),
+        "the WAL ends in the graceful-close line: {last}"
+    );
+    let out = wdm()
+        .arg("replay")
+        .arg(&wal_path)
+        .arg("--verify")
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("graceful-close hash matches"), "{text}");
+}

@@ -4,7 +4,7 @@
 //! # Architecture (DESIGN.md §5i)
 //!
 //! ```text
-//!                    accept loop (nonblocking)
+//!                    accept loop (blocks in accept)
 //!                        │  admit / shed 503
 //!                 [ bounded WorkQueue ]
 //!                   │        │       │
@@ -38,6 +38,14 @@
 //! (SIGTERM, or [`Control::shutdown`]) drains the queue, writes a final
 //! checkpoint anchor and the graceful-close line.
 //!
+//! Shutdown: the accept loop blocks in `accept`, so stopping it takes a
+//! wake-up connection. [`Control::shutdown`] and [`Control::crash`] set the
+//! stop flag and then connect once to the bound address; the loop re-checks
+//! the flag after every `accept` and drops that stream. Signal handlers are
+//! installed with `SA_RESTART` and do not interrupt `accept`, so workers —
+//! which wake at least every 50 ms on the queue — turn a SIGINT/SIGTERM
+//! flag into [`Control::shutdown`].
+//!
 //! # Observability (DESIGN.md §5j)
 //!
 //! The serve path is generic over the telemetry stack. Counters and
@@ -52,7 +60,7 @@
 //! format) after every request. At clean shutdown the flight dump is
 //! written as a `wdm trace analyze`-compatible trace file.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
@@ -150,7 +158,9 @@ impl Control {
     /// Requests a graceful shutdown: drain the queue, final checkpoint,
     /// graceful-close line.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.wake_accept();
+        }
     }
 
     /// Simulates a kill: workers stop immediately, queued requests are
@@ -159,7 +169,26 @@ impl Control {
     /// (crash-recovery tests drive this).
     pub fn crash(&self) {
         self.crash.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown();
+    }
+
+    /// Unblocks the accept loop with one throwaway connection; it sees
+    /// the stop flag once `accept` returns. Before the listener is
+    /// published there is nothing to wake: the loop checks the flag
+    /// before its first `accept`, and the flag was set before the address
+    /// lock was taken here.
+    fn wake_accept(&self) {
+        let Some(mut addr) = *self.addr.lock().expect("address lock poisoned") else {
+            return;
+        };
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Refused once `run` has returned; then there is nothing to wake.
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     fn stopping(&self) -> bool {
@@ -313,7 +342,6 @@ pub fn run(
     let clock = MonotonicClock::default();
 
     let listener = TcpListener::bind(&cfg.addr).map_err(WalError::Io)?;
-    listener.set_nonblocking(true).map_err(WalError::Io)?;
     control.publish_addr(listener.local_addr().map_err(WalError::Io)?);
 
     std::thread::scope(|s| {
@@ -336,13 +364,15 @@ pub fn run(
             }
         }
 
-        // Accept loop: admit or shed; never blocks on a worker.
-        loop {
-            let signalled = cfg.handle_signals && signal::shutdown_requested();
-            if control.stopping() || signalled {
+        // Accept loop: blocks in `accept`, then admits or sheds; never
+        // waits on a worker. Whatever `accept` returns after the stop flag
+        // is set (the wake-up connection, or a client racing it) is dropped.
+        while !control.stopping() {
+            let accepted = listener.accept();
+            if control.stopping() {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _)) => match queue.admit(stream) {
                     Ok(()) => {}
                     Err((mut stream, AdmitError::Full)) => {
@@ -357,9 +387,7 @@ pub fn run(
                     }
                     Err((_, AdmitError::Closed)) => break,
                 },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                // Transient (e.g. out of descriptors): back off, don't spin.
                 Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
         }
@@ -421,6 +449,10 @@ fn worker_loop<R, W, T, WT>(
     loop {
         if control.crashed() {
             return; // Abandon everything, like a kill would.
+        }
+        // The blocked accept loop cannot see a signal; a worker relays it.
+        if cfg.handle_signals && signal::shutdown_requested() {
+            control.shutdown();
         }
         let Some(admitted) = queue.take(Duration::from_millis(50)) else {
             if queue.is_closed() {

@@ -196,8 +196,9 @@ fn truncate_for_error(s: &str) -> String {
     }
 }
 
-/// Writes one `Connection: close` response. Write errors are returned but
-/// are normally ignorable — the peer may have hung up already.
+/// Writes one `Connection: close` response, head and body in a single
+/// write. Write errors are returned but are normally ignorable — the peer
+/// may have hung up already.
 pub fn write_response(
     stream: &mut TcpStream,
     status: &str,
@@ -205,20 +206,18 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(128 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
-    );
+    )?;
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)
 }
 
 /// Convenience: a JSON `200 OK` (or other status) response.

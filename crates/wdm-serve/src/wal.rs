@@ -36,7 +36,7 @@
 //! anywhere else is an error.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use wdm_core::journal::{apply_event, EventSink, NetEvent};
@@ -352,122 +352,154 @@ impl WalRecovery {
 /// Recovers a WAL: replays every event over the header checkpoint,
 /// verifying each checkpoint anchor and (if present) the graceful-close
 /// hash. Tolerates one torn line at the very end of the file.
+///
+/// The log is streamed one line at a time, so memory is bounded by the
+/// longest line rather than the file. Trailing blank lines are ignored; a
+/// blank line with content after it is corruption like any other bad line.
 pub fn recover(path: &Path) -> Result<WalRecovery, WalError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines: Vec<&str> = text.lines().collect();
-    // A trailing blank (from the final "\n") is not a torn line.
-    while lines.last().is_some_and(|l| l.trim().is_empty()) {
-        lines.pop();
-    }
-    let Some((&head, tail)) = lines.split_first() else {
+    let mut lines = BufReader::new(File::open(path)?).lines();
+    let Some(head) = next_content(&mut lines, 0)? else {
         return Err(WalError::BadHeader("empty file".into()));
     };
+    // Line 1 is the header even when it is blank (and so fails to parse).
+    let head_text = head.blank_before.as_ref().map_or(&head.text, |(_, b)| b);
+    let mut rec = WalRecovery::from_header(head_text)?;
+    let mut next = next_content(&mut lines, head.lineno)?;
+    while let Some(cur) = next {
+        // A blank line with content after it fails as corrupt here.
+        if let Some((lineno, blank)) = &cur.blank_before {
+            rec.replay_line(*lineno, blank, false)?;
+        }
+        // One line of lookahead: only the last non-blank line may be torn.
+        next = next_content(&mut lines, cur.lineno)?;
+        rec.replay_line(cur.lineno, &cur.text, next.is_none())?;
+    }
+    Ok(rec)
+}
 
-    let header: WalHeader =
-        serde_json::from_str(head).map_err(|e| WalError::BadHeader(e.to_string()))?;
-    if header.wal != 1 {
-        return Err(WalError::BadHeader(format!(
-            "unsupported wal version {}",
-            header.wal
-        )));
+/// The next non-blank line of a log, with the first blank line skipped on
+/// the way to it (if any).
+struct Content {
+    /// 1-based line number of `text`.
+    lineno: usize,
+    text: String,
+    /// `(line number, text)` of the first blank line before `text`.
+    blank_before: Option<(usize, String)>,
+}
+
+/// Reads past blank lines to the next non-blank one after line `lineno`;
+/// `None` when only blank lines (or nothing) remain.
+fn next_content(
+    lines: &mut std::io::Lines<impl BufRead>,
+    mut lineno: usize,
+) -> std::io::Result<Option<Content>> {
+    let mut blank_before = None;
+    for text in lines {
+        let text = text?;
+        lineno += 1;
+        if text.trim().is_empty() {
+            blank_before.get_or_insert((lineno, text));
+        } else {
+            return Ok(Some(Content {
+                lineno,
+                text,
+                blank_before,
+            }));
+        }
+    }
+    Ok(None)
+}
+
+impl WalRecovery {
+    /// The state a log starts from: its header line, parsed and checked.
+    fn from_header(head: &str) -> Result<Self, WalError> {
+        let header: WalHeader =
+            serde_json::from_str(head).map_err(|e| WalError::BadHeader(e.to_string()))?;
+        if header.wal != 1 {
+            return Err(WalError::BadHeader(format!(
+                "unsupported wal version {}",
+                header.wal
+            )));
+        }
+        Ok(Self {
+            network: header.network,
+            policy: header.policy,
+            state: header.checkpoint,
+            seq: 0,
+            final_hash: None,
+            torn_tail: false,
+            anchors_verified: 0,
+        })
     }
 
-    let net = header.network;
-    let mut state = header.checkpoint;
-    let mut seq = 0u64;
-    let mut final_hash = None;
-    let mut torn_tail = false;
-    let mut anchors_verified = 0usize;
-
-    for (i, raw) in tail.iter().enumerate() {
-        let lineno = i + 2; // 1-based, after the header
-        let last = i + 1 == tail.len();
+    /// Applies line `lineno` of the log. A line that does not parse is a
+    /// torn tail when it is the `last` non-blank line, corruption otherwise.
+    fn replay_line(&mut self, lineno: usize, raw: &str, last: bool) -> Result<(), WalError> {
+        let corrupt = |e: serde_json::Error| WalError::Corrupt {
+            line: lineno,
+            detail: e.to_string(),
+        };
         let value = match serde_json::from_str::<serde_json::Value>(raw) {
             Ok(v) => v,
-            Err(e) if last => {
-                // A partial append from a kill mid-write: discard.
-                let _ = e;
-                torn_tail = true;
-                break;
+            // A partial append from a kill mid-write: discard.
+            Err(_) if last => {
+                self.torn_tail = true;
+                return Ok(());
             }
-            Err(e) => {
-                return Err(WalError::Corrupt {
-                    line: lineno,
-                    detail: e.to_string(),
-                })
-            }
+            Err(e) => return Err(corrupt(e)),
         };
-        if final_hash.is_some() {
+        if self.final_hash.is_some() {
             return Err(WalError::Corrupt {
                 line: lineno,
                 detail: "records after the graceful-close line".into(),
             });
         }
         if value.get("seq").is_some() {
-            let ev: WalEventLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
-                    detail: e.to_string(),
-                })?;
-            if ev.seq != seq + 1 {
+            let ev: WalEventLine = serde::Deserialize::from_value(&value).map_err(corrupt)?;
+            if ev.seq != self.seq + 1 {
                 return Err(WalError::SeqGap {
-                    expected: seq + 1,
+                    expected: self.seq + 1,
                     got: ev.seq,
                 });
             }
-            apply_event(&mut state, &net, &ev.event).map_err(|e| WalError::Replay {
-                seq: ev.seq,
-                detail: e.to_string(),
-            })?;
-            seq = ev.seq;
-        } else if value.get("checkpoint_seq").is_some() {
-            let cp: WalCheckpointLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
+            apply_event(&mut self.state, &self.network, &ev.event).map_err(|e| {
+                WalError::Replay {
+                    seq: ev.seq,
                     detail: e.to_string(),
-                })?;
-            if cp.checkpoint_seq != seq || cp.semantic_hash != state.semantic_hash() {
+                }
+            })?;
+            self.seq = ev.seq;
+        } else if value.get("checkpoint_seq").is_some() {
+            let cp: WalCheckpointLine = serde::Deserialize::from_value(&value).map_err(corrupt)?;
+            if cp.checkpoint_seq != self.seq || cp.semantic_hash != self.state.semantic_hash() {
                 return Err(WalError::CheckpointMismatch {
                     seq: cp.checkpoint_seq,
                 });
             }
-            anchors_verified += 1;
+            self.anchors_verified += 1;
         } else if value.get("final_seq").is_some() {
-            let fin: WalFinalLine =
-                serde::Deserialize::from_value(&value).map_err(|e| WalError::Corrupt {
-                    line: lineno,
-                    detail: e.to_string(),
-                })?;
-            if fin.final_seq != seq {
+            let fin: WalFinalLine = serde::Deserialize::from_value(&value).map_err(corrupt)?;
+            if fin.final_seq != self.seq {
                 return Err(WalError::SeqGap {
-                    expected: seq,
+                    expected: self.seq,
                     got: fin.final_seq,
                 });
             }
-            if fin.semantic_hash != state.semantic_hash() {
+            if fin.semantic_hash != self.state.semantic_hash() {
                 return Err(WalError::FinalHashMismatch {
                     recorded: fin.semantic_hash,
-                    replayed: state.semantic_hash(),
+                    replayed: self.state.semantic_hash(),
                 });
             }
-            final_hash = Some(fin.semantic_hash);
+            self.final_hash = Some(fin.semantic_hash);
         } else {
             return Err(WalError::Corrupt {
                 line: lineno,
                 detail: "unrecognized record shape".into(),
             });
         }
+        Ok(())
     }
-
-    Ok(WalRecovery {
-        network: net,
-        policy: header.policy,
-        state,
-        seq,
-        final_hash,
-        torn_tail,
-        anchors_verified,
-    })
 }
 
 #[cfg(test)]
@@ -591,6 +623,143 @@ mod tests {
             ),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The whole-file recovery that streaming replaced, kept as the
+    /// reference for line splitting: read everything, pop trailing blank
+    /// lines, replay the rest with the last one allowed to be torn.
+    fn recover_in_memory(bytes: &[u8]) -> Result<WalRecovery, WalError> {
+        let text = std::str::from_utf8(bytes).map_err(std::io::Error::other)?;
+        let mut lines: Vec<&str> = text.lines().collect();
+        while lines.last().is_some_and(|l| l.trim().is_empty()) {
+            lines.pop();
+        }
+        let Some((&head, tail)) = lines.split_first() else {
+            return Err(WalError::BadHeader("empty file".into()));
+        };
+        let mut rec = WalRecovery::from_header(head)?;
+        for (i, raw) in tail.iter().enumerate() {
+            rec.replay_line(i + 2, raw, i + 1 == tail.len())?;
+        }
+        Ok(rec)
+    }
+
+    fn outcome(r: &Result<WalRecovery, WalError>) -> String {
+        match r {
+            Ok(rec) => format!(
+                "ok seq={} hash={:#x} final={:?} torn={} anchors={}",
+                rec.seq,
+                rec.semantic_hash(),
+                rec.final_hash,
+                rec.torn_tail,
+                rec.anchors_verified
+            ),
+            Err(e) => format!("err {e}"),
+        }
+    }
+
+    /// Recovers `bytes` from disk with the streaming [`recover`], asserting
+    /// it agrees with the whole-file reference on the same bytes.
+    fn recover_bytes(tag: &str, bytes: &[u8]) -> Result<WalRecovery, WalError> {
+        let path = temp_path(tag);
+        std::fs::write(&path, bytes).unwrap();
+        let streamed = recover(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            outcome(&streamed),
+            outcome(&recover_in_memory(bytes)),
+            "streaming and whole-file recovery disagree ({tag})"
+        );
+        streamed
+    }
+
+    /// The lines of a recorded lifecycle log (header, events, one anchor,
+    /// and the graceful-close line when `finalize`).
+    fn lifecycle_lines(finalize: bool) -> Vec<String> {
+        let (path, _, _) = record_lifecycle("lines", finalize);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text.lines().map(String::from).collect()
+    }
+
+    #[test]
+    fn streamed_trailing_blank_lines_are_ignored() {
+        let lines = lifecycle_lines(true);
+        let clean = recover_bytes("clean", (lines.join("\n") + "\n").as_bytes());
+        assert!(clean
+            .as_ref()
+            .is_ok_and(|r| r.clean_shutdown() && !r.torn_tail));
+        // Blank and whitespace-only tails, CRLF endings and a missing
+        // final newline all recover exactly like the clean file.
+        for bytes in [
+            lines.join("\n") + "\n\n",
+            lines.join("\n") + "\n  \n\t\n",
+            lines.join("\n") + "\n\n\n\n",
+            lines.join("\r\n") + "\r\n\r\n",
+            lines.join("\n"),
+        ] {
+            let rec = recover_bytes("blank-tail", bytes.as_bytes());
+            assert_eq!(outcome(&rec), outcome(&clean), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn streamed_torn_last_line_sets_torn_tail() {
+        let mut lines = lifecycle_lines(false);
+        let events = lines.len() - 1 - 1; // minus header and one anchor
+        let last = lines.last_mut().unwrap();
+        last.truncate(last.len() / 2);
+        for tail in ["", "\n", "\n\n  \n"] {
+            let rec = recover_bytes("torn", (lines.join("\n") + tail).as_bytes()).unwrap();
+            assert!(rec.torn_tail);
+            assert_eq!(rec.seq as usize, events - 1, "the torn event is discarded");
+            assert!(!rec.clean_shutdown());
+        }
+    }
+
+    #[test]
+    fn streamed_interior_blank_or_bad_line_is_corrupt_at_its_line() {
+        let lines = lifecycle_lines(true);
+        let corrupt_line = |bytes: String| match recover_bytes("interior", bytes.as_bytes()) {
+            Err(WalError::Corrupt { line, .. }) => line,
+            other => panic!("expected Corrupt, got {}", outcome(&other)),
+        };
+        for (at, inserted) in [(1, ""), (3, "   "), (2, "\n\n"), (lines.len() - 1, "\t")] {
+            let mut damaged = lines.clone();
+            damaged.insert(at, inserted.to_string());
+            // Line numbers are 1-based: the inserted line is number `at + 1`.
+            assert_eq!(corrupt_line(damaged.join("\n") + "\n"), at + 1);
+        }
+        for at in [1, 3, lines.len() - 2] {
+            let mut damaged = lines.clone();
+            damaged[at] = "{\"seq\":".into();
+            assert_eq!(corrupt_line(damaged.join("\n") + "\n"), at + 1);
+        }
+        // A blank line (and content) after the graceful-close line.
+        let mut damaged = lines.clone();
+        damaged.push(String::new());
+        damaged.push(lines[1].clone());
+        assert_eq!(corrupt_line(damaged.join("\n")), lines.len() + 1);
+    }
+
+    #[test]
+    fn streamed_empty_or_blank_file_is_a_bad_header() {
+        for bytes in ["", "\n", "\n  \n\t\n", "\r\n\r\n"] {
+            match recover_bytes("empty", bytes.as_bytes()) {
+                Err(WalError::BadHeader(d)) => assert_eq!(d, "empty file", "{bytes:?}"),
+                other => panic!("expected BadHeader, got {}", outcome(&other)),
+            }
+        }
+        // A blank first line followed by the header is a bad header, not
+        // an empty file: line 1 is always the header.
+        let lines = lifecycle_lines(true);
+        match recover_bytes("blank-head", format!("\n{}\n", lines.join("\n")).as_bytes()) {
+            Err(WalError::BadHeader(d)) => assert_ne!(d, "empty file"),
+            other => panic!("expected BadHeader, got {}", outcome(&other)),
+        }
+        // A header alone recovers to the initial state.
+        let rec = recover_bytes("header-only", lines[0].as_bytes()).unwrap();
+        assert_eq!((rec.seq, rec.torn_tail, rec.final_hash), (0, false, None));
     }
 
     #[test]

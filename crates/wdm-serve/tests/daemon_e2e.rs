@@ -11,7 +11,7 @@
 //!   resumes serving from that state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wdm_core::network::NetworkBuilder;
 use wdm_core::network::WdmNetwork;
@@ -536,4 +536,76 @@ fn traced_daemon_attributes_wall_time_and_serves_debug_trace() {
     );
     std::fs::remove_file(&wal_path).ok();
     std::fs::remove_file(&trace_path).ok();
+}
+
+/// An idle daemon sits blocked in `accept`: `shutdown` and `crash` must
+/// still make `run` return promptly — also when bound to the unspecified
+/// address, where the wake-up connection goes to loopback — and the
+/// wake-up connection must not count as a request.
+#[test]
+fn idle_daemon_stops_promptly_on_shutdown_and_crash() {
+    let net = nsfnet();
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for crash in [false, true] {
+            let wal_path = temp_wal("idle-stop");
+            let mut cfg = ServeConfig::new(bind, &wal_path);
+            cfg.threads = 2;
+            let control = Control::new();
+            let (report, stop_latency) = std::thread::scope(|s| {
+                let server = s.spawn(|| run(&net, &cfg, &control));
+                let _guard = KillOnExit(&control);
+                let addr = control
+                    .wait_addr(Duration::from_secs(10))
+                    .expect("daemon binds");
+                // One answered request: the accept loop has been through
+                // `accept` and gone back to block in it.
+                let target = format!("127.0.0.1:{}", addr.port());
+                let (status, _) = http_request(&target, "GET", "/healthz", "").unwrap();
+                assert_eq!(status, 200);
+                let asked = Instant::now();
+                if crash {
+                    control.crash();
+                } else {
+                    control.shutdown();
+                }
+                let report = server.join().unwrap().expect("run returns");
+                (report, asked.elapsed())
+            });
+            assert!(
+                stop_latency < Duration::from_millis(500),
+                "{bind} crash={crash}: run took {stop_latency:?} to return"
+            );
+            assert_eq!(report.clean_shutdown, !crash, "{bind} crash={crash}");
+            assert_eq!(
+                report
+                    .counters
+                    .get("serve_bad_request")
+                    .copied()
+                    .unwrap_or(0),
+                0,
+                "the wake-up connection is not served"
+            );
+            let rec = wal::recover(&wal_path).expect("recover");
+            assert_eq!(rec.clean_shutdown(), !crash, "{bind} crash={crash}");
+            std::fs::remove_file(&wal_path).ok();
+        }
+    }
+}
+
+/// A shutdown requested before the daemon binds is not lost: there is no
+/// listener to wake yet, so the accept loop must see the flag before it
+/// ever blocks.
+#[test]
+fn shutdown_before_bind_still_stops_the_daemon() {
+    let net = nsfnet();
+    let wal_path = temp_wal("early-stop");
+    let cfg = ServeConfig::new("127.0.0.1:0", &wal_path);
+    let control = Control::new();
+    control.shutdown();
+    let asked = Instant::now();
+    let report = run(&net, &cfg, &control).expect("run returns");
+    assert!(asked.elapsed() < Duration::from_secs(1));
+    assert!(report.clean_shutdown);
+    assert!(wal::recover(&wal_path).expect("recover").clean_shutdown());
+    std::fs::remove_file(&wal_path).ok();
 }
