@@ -1,8 +1,10 @@
-//! Speculative batch provisioning vs the serial loop (the per-window
+//! Speculative batch provisioning vs the warm serial loop
+//! (`provision_batch`, one router context per batch — the per-window
 //! regression guard behind `exp_parallel_batch`), in all three schedule
 //! modes: the PR 3 windowed abort-the-rest engine, the conflict-aware
 //! group scheduler, and the shard-parallel engine (single-threaded here;
-//! `exp_parallel_batch` owns the multi-thread wall-clock grid).
+//! `exp_parallel_batch` owns the multi-thread wall-clock grid and the cold
+//! per-demand-context reference).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -672,6 +672,56 @@ fn serve_metrics_answers_prometheus_scrape() {
 /// in `accept`, which a restarting signal handler does not interrupt, so
 /// this pins the path where a worker notices the signal and stops it.
 #[cfg(unix)]
+/// The `accepted`, `total cost` and `final load` lines of a `wdm batch`
+/// report.
+fn batch_outcome_lines(args: &[&str]) -> Vec<String> {
+    let out = wdm().arg("batch").args(args).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| {
+            l.starts_with("accepted") || l.starts_with("total cost") || l.starts_with("final load")
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn batch_serial_and_speculative_report_the_same_outcome() {
+    let net_path = tmp("batch.wdm");
+    assert!(wdm()
+        .args(["topology", "nsfnet", "--out"])
+        .arg(&net_path)
+        .status()
+        .expect("spawn")
+        .success());
+    let net = net_path.to_str().expect("utf8");
+    let serial = batch_outcome_lines(&["--net", net, "--mesh", "1"]);
+    let speculative = batch_outcome_lines(&[
+        "--net",
+        net,
+        "--mesh",
+        "1",
+        "--parallel-window",
+        "8",
+        "--schedule",
+        "conflict-groups",
+    ]);
+    // Golden: the protected full mesh on 8-λ NSFNET under cost-only, as
+    // routed by one throwaway router context per demand.
+    let golden = [
+        "accepted   55/182 (30.2%)",
+        "total cost 2892.0",
+        "final load max 1.000, p90 1.000, mean 0.842",
+    ];
+    assert_eq!(serial, golden);
+    assert_eq!(speculative, golden);
+}
+
 #[test]
 fn serve_exits_cleanly_on_sigterm() {
     use std::io::{BufRead, BufReader, Read, Write};

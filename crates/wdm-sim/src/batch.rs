@@ -7,8 +7,18 @@
 //! static RWA, since early routes constrain later ones. The
 //! `exp_static_batch` binary measures how much the order and the policy
 //! matter.
+//!
+//! The serial fold holds **one warm [`RouterCtx`] per batch**: the first
+//! demand builds the auxiliary-graph skeletons and syncs them in full
+//! against the batch's private state, and every later demand refreshes
+//! only the links the previous commits dirtied (the `ResidualState`
+//! change clocks). Warm Johnson potentials stay off, so every route is
+//! bit-identical to the one-shot [`Policy::route`], which builds a
+//! throwaway context per call (`tests/batch_cold_oracle.rs` holds the
+//! fold to that).
 
 use crate::policy::{Policy, ProvisionedRoute};
+use wdm_core::aux_engine::RouterCtx;
 use wdm_core::journal::{EventSink, NetEvent, NoopSink};
 use wdm_core::load::{load_snapshot, LoadSnapshot};
 use wdm_core::network::{ResidualState, WdmNetwork};
@@ -78,6 +88,11 @@ impl BatchOutcome {
 /// later demands see earlier reservations (sequential heuristic — the
 /// standard approach; the global ILP over all demands at once is
 /// exponential and out of scope even for the paper).
+///
+/// Every demand is routed through one [`RouterCtx`] created for the
+/// batch, so the auxiliary graphs are built once, not once per demand.
+/// The outcome equals a loop of one-shot [`Policy::route`] calls bit for
+/// bit; use [`Policy::route`] itself to route a single demand.
 pub fn provision_batch(
     net: &WdmNetwork,
     state: &ResidualState,
@@ -103,12 +118,13 @@ pub fn provision_batch_journaled<J: EventSink>(
     let mut st = state.clone();
     let idx = processing_order(net, &st, demands, order);
 
+    let mut ctx = RouterCtx::new();
     let mut provisioned = Vec::new();
     let mut rejected = Vec::new();
     let mut total_cost = 0.0;
     for i in idx {
         let d = demands[i];
-        match policy.route(net, &st, d.src, d.dst) {
+        match policy.route_ctx(&mut ctx, net, &st, d.src, d.dst) {
             Ok(route) => {
                 route
                     .occupy(net, &mut st)

@@ -653,7 +653,9 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
 }
 
 /// Configuration of one batch-provisioning run: the policy/order knobs of
-/// [`crate::batch::provision_batch`] plus the speculative engine's window.
+/// [`crate::batch::provision_batch`] (the warm serial fold, one router
+/// context per batch) plus the speculative engines' window, schedule and
+/// worker count.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchConfig {
     /// Provisioning policy.
@@ -689,8 +691,11 @@ impl BatchConfig {
 }
 
 /// Unified batch entry point: provisions `demands` serially or through the
-/// speculative engine according to `cfg.parallel_window`. The outcome is
-/// the same either way; only wall-clock time differs.
+/// speculative engine according to `cfg.parallel_window`. The serial path
+/// is [`crate::batch::provision_batch`], which routes every demand through
+/// one warm router context. The outcome is the same either way, and equal
+/// to a loop of one-shot [`Policy::route`] calls; only wall-clock time
+/// differs.
 pub fn run_batch(
     net: &WdmNetwork,
     state: &ResidualState,

@@ -94,10 +94,9 @@
 //! warm across rounds, and because each round's snapshot is a descendant
 //! of the previous one's in a single mutation lineage, the engines'
 //! incremental change-clock sync stays sound — no per-round invalidation,
-//! no per-demand rebuild. On a single-core host the speedup over
-//! [`crate::batch::provision_batch`] comes entirely from that engine
-//! reuse (the serial path pays a full auxiliary-graph construction per
-//! demand); with more cores the window also routes concurrently.
+//! no per-demand rebuild. [`crate::batch::provision_batch`] reuses one
+//! warm context the same way, so against it the engines can win only by
+//! routing a window concurrently, which needs more than one core.
 
 use crate::batch::{processing_order, BatchOrder, BatchOutcome, Demand};
 use crate::policy::{Policy, ProvisionedRoute};
