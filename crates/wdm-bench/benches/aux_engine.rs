@@ -1,7 +1,8 @@
-//! Routing hot path, scratch vs incremental: per request, the old pipeline
-//! rebuilds the auxiliary graph (`AuxGraph::build`) and runs the allocating
-//! Suurballe; the new one syncs a persistent [`AuxEngine`] (dirty links
-//! only) and searches in a reusable [`SearchArena`]. Between requests a
+//! Routing hot path, scratch vs incremental: per request, the scratch
+//! pipeline rebuilds the auxiliary graph (`AuxGraph::build`) and runs the
+//! allocating Suurballe; the CSR tier syncs a persistent [`AuxEngine`]
+//! (dirty links only) and searches its CSR arrays in a reusable
+//! [`SearchArena`]. Between requests a
 //! small churn script flips a couple of channels, mimicking the arrival /
 //! departure mix a simulator generates — the regime the incremental engine
 //! is built for.
@@ -90,30 +91,7 @@ fn bench_hot_path(c: &mut Criterion) {
         })
     });
 
-    group.bench_with_input(BenchmarkId::new("engine", "n100_d4_w8"), &net, |b, net| {
-        let mut st = ResidualState::fresh(net);
-        let mut churn = Churn::new(net, 256, 13);
-        let mut eng = AuxEngine::new(net, AuxSpec::g_prime());
-        let mut arena = SearchArena::new();
-        let mut k = 0usize;
-        b.iter(|| {
-            churn.step(net, &mut st);
-            let (s, t) = reqs[k % reqs.len()];
-            k += 1;
-            eng.sync(net, &st, s, t);
-            let eng = &eng;
-            let pair = arena.edge_disjoint_pair(
-                eng.graph(),
-                eng.source(),
-                eng.sink(),
-                |e| eng.weight(e),
-                |e| eng.enabled(e),
-            );
-            black_box(pair.map(|p| p.total_cost))
-        })
-    });
-
-    // The CSR tier: same engine, searched through its flat mirror with the
+    // The CSR tier: the engine searched through its CSR arrays with the
     // integer bucket queue and warm Johnson potentials. Runs on a dyadic
     // (quarter-integer cost, free conversion) instance of the same shape so
     // the integer certificate holds on every request.

@@ -1,13 +1,13 @@
 //! Heap-engine comparison on Dijkstra workloads (the Theorem 1 constant
-//! factor: the paper cites Fibonacci heaps; we measure the practical
-//! candidates head-to-head).
+//! factor: the paper cites Fibonacci heaps; we measure the d-ary arities
+//! and, on integer costs, the bucket queue head-to-head).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
 use wdm_graph::dijkstra::dijkstra_generic;
 use wdm_graph::{topology, NodeId};
-use wdm_heap::{DaryHeap, MinQueue, PairingHeap};
+use wdm_heap::{DaryHeap, MinQueue};
 
 fn bench_dijkstra_engines(c: &mut Criterion) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
@@ -56,18 +56,6 @@ fn bench_dijkstra_engines(c: &mut Criterion) {
                 .dist[g.node_count() - 1]
             })
         });
-        group.bench_with_input(BenchmarkId::new("pairing", name), g, |b, g| {
-            b.iter(|| {
-                dijkstra_generic::<_, _, PairingHeap<f64>>(
-                    g,
-                    NodeId(0),
-                    None,
-                    |e| g.weight(e),
-                    |_| true,
-                )
-                .dist[g.node_count() - 1]
-            })
-        });
     }
     group.finish();
 }
@@ -78,19 +66,6 @@ fn bench_raw_ops(c: &mut Criterion) {
     group.bench_function("dary4", |b| {
         b.iter(|| {
             let mut h: DaryHeap<f64, 4> = DaryHeap::with_capacity(n);
-            for i in 0..n {
-                h.insert(i, ((i * 2654435761) % 1000) as f64);
-            }
-            let mut sum = 0.0;
-            while let Some((_, k)) = h.pop_min() {
-                sum += k;
-            }
-            black_box(sum)
-        })
-    });
-    group.bench_function("pairing", |b| {
-        b.iter(|| {
-            let mut h: PairingHeap<f64> = PairingHeap::with_capacity(n);
             for i in 0..n {
                 h.insert(i, ((i * 2654435761) % 1000) as f64);
             }

@@ -1260,7 +1260,9 @@ fn telemetry_assert(args: &Args) -> Result<(), String> {
 /// BENCH_*.json experiment outputs, combined simulate dumps): the files are
 /// flattened to dotted paths and compared metric-by-metric. With
 /// `--fail-drop PCT` the command exits non-zero when any selected metric
-/// falls more than PCT percent below the baseline — the CI perf gate.
+/// falls more than PCT percent below the baseline, or is in the baseline
+/// but missing from the candidate — the CI perf gate, which must not pass
+/// because the series it gates stopped being written.
 fn telemetry_diff(args: &Args) -> Result<(), String> {
     let a_path = args.positional(1).ok_or("missing baseline file")?;
     let b_path = args.positional(2).ok_or("missing candidate file")?;
@@ -1307,7 +1309,12 @@ fn telemetry_diff(args: &Args) -> Result<(), String> {
                     ));
                 }
             }
-            (Some(&va), None) => println!("{key:<44} {va:>14.3} {:>14} {:>9}", "-", "gone"),
+            (Some(&va), None) => {
+                println!("{key:<44} {va:>14.3} {:>14} {:>9}", "-", "gone");
+                if fail_drop > 0.0 {
+                    regressions.push(format!("{key}: {va:.3} -> missing from the candidate"));
+                }
+            }
             (None, Some(&vb)) => println!("{key:<44} {:>14} {vb:>14.3} {:>9}", "-", "new"),
             (None, None) => unreachable!("key came from one of the maps"),
         }
@@ -1445,5 +1452,13 @@ mod tests {
         assert!(telemetry(&argv(&["--metrics", "other", "--fail-drop", "15"])).is_ok());
         // No gate: informational diff always succeeds.
         assert!(telemetry(&argv(&[])).is_ok());
+
+        // A gated metric that vanished from the candidate is a regression;
+        // one that only the candidate has is not.
+        std::fs::write(&b, r#"{"other": 1.0, "fresh": 3.0}"#).unwrap();
+        let err = telemetry(&argv(&["--metrics", "speedup", "--fail-drop", "15"])).unwrap_err();
+        assert!(err.contains("speedup") && err.contains("missing"), "{err}");
+        assert!(telemetry(&argv(&["--metrics", "speedup"])).is_ok());
+        assert!(telemetry(&argv(&["--metrics", "fresh", "--fail-drop", "15"])).is_ok());
     }
 }

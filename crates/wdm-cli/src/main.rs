@@ -123,7 +123,8 @@ COMMANDS:
   telemetry diff <BASELINE.json> <CANDIDATE.json>
       --metrics SUBSTR  only compare metrics whose dotted path contains SUBSTR
       --fail-drop PCT   exit non-zero if any compared metric drops > PCT%
-                        below the baseline (the CI perf gate)
+                        below the baseline or is missing from the
+                        candidate (the CI perf gate)
 
   telemetry assert <FILE.json> --metric PATH
       --min X           exit non-zero unless metric >= X

@@ -805,3 +805,35 @@ fn serve_exits_cleanly_on_sigterm() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("graceful-close hash matches"), "{text}");
 }
+
+/// The perf gate must not pass vacuously: a gated metric present in the
+/// baseline but missing from the candidate exits non-zero and names the
+/// metric, while the same diff without `--fail-drop` stays informational.
+#[test]
+fn telemetry_diff_fails_when_a_gated_metric_vanishes() {
+    let base = tmp("diff_gone_base.json");
+    let cand = tmp("diff_gone_cand.json");
+    std::fs::write(&base, r#"{"a": {"speedup": 2.0}, "b": 1.0}"#).expect("write");
+    std::fs::write(&cand, r#"{"b": 1.0}"#).expect("write");
+    let diff = |extra: &[&str]| {
+        wdm()
+            .arg("telemetry")
+            .arg("diff")
+            .arg(&base)
+            .arg(&cand)
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let out = diff(&["--metrics", "speedup", "--fail-drop", "15"]);
+    assert!(!out.status.success(), "a vanished gated metric must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("a.speedup") && err.contains("missing"),
+        "{err}"
+    );
+    assert!(diff(&["--metrics", "speedup"]).status.success());
+    assert!(diff(&["--metrics", "b", "--fail-drop", "15"])
+        .status
+        .success());
+}

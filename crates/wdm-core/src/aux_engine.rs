@@ -42,10 +42,10 @@
 //! went *backwards* (a fresh or deserialized state) is detected and handled
 //! by a full refresh.
 
-use crate::aux_graph::{AuxArc, AuxEdgeData, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
+use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
 use crate::network::{ResidualState, WdmNetwork};
 use wdm_graph::suurballe::DisjointPair;
-use wdm_graph::{DiGraph, EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
+use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
 
 /// Fixed-point scale for integer weight certification: weights that are
 /// exact multiples of `2^-SCALE_SHIFT` get a `u64` key `weight << SCALE_SHIFT`.
@@ -77,11 +77,9 @@ pub struct SyncStats {
 }
 
 /// One potential conversion arc `v_in^{e_in} → v_out^{e_out}` of the
-/// skeleton.
+/// skeleton. Slot `i` is skeleton arc `m + i`.
 #[derive(Debug, Clone, Copy)]
 struct ConvSlot {
-    /// The skeleton arc id.
-    arc: EdgeId,
     /// The physical node the conversion happens at.
     node: NodeId,
     /// Incoming physical link.
@@ -93,17 +91,45 @@ struct ConvSlot {
     k: u32,
 }
 
+/// Aux node id of `s'`. The skeleton numbers its nodes `s'`, `t''`, then
+/// `OutNode(e)` = `2 + 2e` and `InNode(e)` = `3 + 2e` for every link `e`.
+const SOURCE: u32 = 0;
+/// Aux node id of `t''`.
+const SINK: u32 = 1;
+
+/// Aux node id of `OutNode(e)`.
+#[inline]
+fn out_node(e: usize) -> u32 {
+    (2 + 2 * e) as u32
+}
+
+/// Aux node id of `InNode(e)`.
+#[inline]
+fn in_node(e: usize) -> u32 {
+    (3 + 2 * e) as u32
+}
+
+/// The payload an aux node id stands for (inverse of the numbering above).
+fn aux_node(v: u32) -> AuxNode {
+    match v {
+        SOURCE => AuxNode::Source,
+        SINK => AuxNode::Sink,
+        _ if v & 1 == 0 => AuxNode::OutNode(EdgeId::from((v as usize - 2) / 2)),
+        _ => AuxNode::InNode(EdgeId::from((v as usize - 3) / 2)),
+    }
+}
+
 /// Incremental auxiliary-graph engine. See the module docs.
+///
+/// The skeleton is held only as CSR arrays. Arc ids follow the scratch
+/// builder's emission order: traversal arcs `0..m` in link order, then the
+/// conversion arcs in `(v, e_in, e_out)` order, then the `m` source taps,
+/// then the `m` sink taps (both in link order).
 #[derive(Debug, Clone)]
 pub struct AuxEngine {
     spec: AuxSpec,
-    graph: DiGraph<AuxNode, AuxEdgeData>,
-    source: NodeId,
-    sink: NodeId,
-    /// Per physical link: its skeleton arcs (always present).
-    trav_arc: Vec<EdgeId>,
-    src_tap: Vec<EdgeId>,
-    dst_tap: Vec<EdgeId>,
+    /// Number of physical links `m`.
+    links: usize,
     /// All potential conversion arcs, in skeleton emission order.
     conv: Vec<ConvSlot>,
     /// Per physical link: indices into `conv` of the slots touching it.
@@ -127,7 +153,7 @@ pub struct AuxEngine {
     conv_stamp: Vec<u64>,
     pass: u64,
 
-    // ---- CSR flat mirror (the layout the searches actually traverse) ----
+    // ---- CSR layout (the arrays the searches traverse) ----
     /// Row offsets per aux node (`len == node_count + 1`).
     csr_off: Vec<u32>,
     /// Destination aux node per CSR slot.
@@ -139,7 +165,7 @@ pub struct AuxEngine {
     /// Tail / head aux node per arc id.
     arc_src: Vec<u32>,
     arc_dst: Vec<u32>,
-    /// Weight mirror per arc id (kept bit-identical to the graph payload).
+    /// Weight per arc id (meaningful only while the arc is enabled).
     arc_weight: Vec<f64>,
     /// Certified integer key per arc id (valid only while `arc_exact`).
     arc_key: Vec<u64>,
@@ -174,30 +200,14 @@ impl AuxEngine {
     /// call [`AuxEngine::sync`] before searching.
     pub fn new(net: &WdmNetwork, spec: AuxSpec) -> Self {
         let m = net.link_count();
-        let mut graph: DiGraph<AuxNode, AuxEdgeData> = DiGraph::with_capacity(2 * m + 2, 4 * m);
-        let source = graph.add_node(AuxNode::Source);
-        let sink = graph.add_node(AuxNode::Sink);
+        let mut arc_src: Vec<u32> = Vec::with_capacity(4 * m);
+        let mut arc_dst: Vec<u32> = Vec::with_capacity(4 * m);
 
-        // Edge-nodes and traversal arcs for every link, in link order —
-        // matching the scratch builder's emission order over its admitted
-        // subset.
-        let mut out_node = Vec::with_capacity(m);
-        let mut in_node = Vec::with_capacity(m);
-        let mut trav_arc = Vec::with_capacity(m);
-        for ei in 0..m {
-            let e = EdgeId::from(ei);
-            let uo = graph.add_node(AuxNode::OutNode(e));
-            let vi = graph.add_node(AuxNode::InNode(e));
-            out_node.push(uo);
-            in_node.push(vi);
-            trav_arc.push(graph.add_edge(
-                uo,
-                vi,
-                AuxEdgeData {
-                    kind: AuxArc::Traversal(e),
-                    weight: 0.0,
-                },
-            ));
+        // Traversal arcs for every link, in link order — matching the
+        // scratch builder's emission order over its admitted subset.
+        for e in 0..m {
+            arc_src.push(out_node(e));
+            arc_dst.push(in_node(e));
         }
 
         // Potential conversion arcs: same (node, e_in, e_out) loop order as
@@ -219,17 +229,10 @@ impl AuxEngine {
                     if !possible {
                         continue;
                     }
-                    let arc = graph.add_edge(
-                        in_node[ein.index()],
-                        out_node[eout.index()],
-                        AuxEdgeData {
-                            kind: AuxArc::Conversion(v),
-                            weight: 0.0,
-                        },
-                    );
+                    arc_src.push(in_node(ein.index()));
+                    arc_dst.push(out_node(eout.index()));
                     let idx = conv.len() as u32;
                     conv.push(ConvSlot {
-                        arc,
                         node: v,
                         ein,
                         eout,
@@ -245,69 +248,45 @@ impl AuxEngine {
 
         // Tap slots for every link; the scratch builder emits source taps
         // (in link order) before sink taps, so both groups stay ordered.
-        let mut src_tap = Vec::with_capacity(m);
-        for &uo in &out_node {
-            src_tap.push(graph.add_edge(
-                source,
-                uo,
-                AuxEdgeData {
-                    kind: AuxArc::Tap,
-                    weight: 0.0,
-                },
-            ));
+        for e in 0..m {
+            arc_src.push(SOURCE);
+            arc_dst.push(out_node(e));
         }
-        let mut dst_tap = Vec::with_capacity(m);
-        for &vi in &in_node {
-            dst_tap.push(graph.add_edge(
-                vi,
-                sink,
-                AuxEdgeData {
-                    kind: AuxArc::Tap,
-                    weight: 0.0,
-                },
-            ));
+        for e in 0..m {
+            arc_src.push(in_node(e));
+            arc_dst.push(SINK);
         }
 
-        let edge_count = graph.edge_count();
+        // CSR rows by counting sort over the tails. Filling slots in arc-id
+        // order keeps each node's slots in ascending arc id, which is what
+        // keeps relaxation order — and every Dijkstra tie — identical to a
+        // search over the scratch graph's adjacency lists.
+        let edge_count = arc_src.len();
         let conv_count = conv.len();
-
-        // CSR mirror of the finished skeleton. The skeleton never changes
-        // shape, so this is built once; weights/enabled bits are per-arc
-        // array updates from here on. Per-node slots inherit the ascending
-        // arc-id order of `out_edges` (arcs are appended in id order), which
-        // is what keeps flat relaxation order — and every Dijkstra tie —
-        // identical to the pointer-based search.
-        let n_aux = graph.node_count();
-        let mut csr_off = Vec::with_capacity(n_aux + 1);
-        let mut csr_head = Vec::with_capacity(edge_count);
-        let mut csr_arc = Vec::with_capacity(edge_count);
-        for v in graph.node_ids() {
-            csr_off.push(csr_head.len() as u32);
-            for &e in graph.out_edges(v) {
-                csr_head.push(graph.dst(e).index() as u32);
-                csr_arc.push(e.index() as u32);
-            }
+        let n_aux = 2 * m + 2;
+        let mut csr_off = vec![0u32; n_aux + 1];
+        for &u in &arc_src {
+            csr_off[u as usize + 1] += 1;
         }
-        csr_off.push(csr_head.len() as u32);
+        for v in 0..n_aux {
+            csr_off[v + 1] += csr_off[v];
+        }
+        let mut next = csr_off[..n_aux].to_vec();
+        let mut csr_head = vec![0u32; edge_count];
+        let mut csr_arc = vec![0u32; edge_count];
         let mut arc_slot = vec![0u32; edge_count];
-        for (slot, &a) in csr_arc.iter().enumerate() {
-            arc_slot[a as usize] = slot as u32;
-        }
-        let mut arc_src = vec![0u32; edge_count];
-        let mut arc_dst = vec![0u32; edge_count];
-        for e in graph.edge_ids() {
-            arc_src[e.index()] = graph.src(e).index() as u32;
-            arc_dst[e.index()] = graph.dst(e).index() as u32;
+        for a in 0..edge_count {
+            let u = arc_src[a] as usize;
+            let slot = next[u] as usize;
+            next[u] += 1;
+            csr_head[slot] = arc_dst[a];
+            csr_arc[slot] = a as u32;
+            arc_slot[a] = slot as u32;
         }
 
         Self {
             spec,
-            graph,
-            source,
-            sink,
-            trav_arc,
-            src_tap,
-            dst_tap,
+            links: m,
             conv,
             conv_of_link,
             enabled: vec![false; edge_count],
@@ -339,6 +318,35 @@ impl AuxEngine {
             pot: Potentials::default(),
             pi_events: Vec::new(),
             pi_work: Vec::new(),
+        }
+    }
+
+    /// Number of aux nodes (`2m + 2`).
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.csr_off.len() - 1
+    }
+
+    /// Arc id of link `e`'s source tap `s' → OutNode(e)`.
+    #[inline]
+    fn src_tap(&self, e: usize) -> usize {
+        self.links + self.conv.len() + e
+    }
+
+    /// Arc id of link `e`'s sink tap `InNode(e) → t''`.
+    #[inline]
+    fn dst_tap(&self, e: usize) -> usize {
+        2 * self.links + self.conv.len() + e
+    }
+
+    /// The role of skeleton arc `a`, read off the id layout.
+    fn arc_kind(&self, a: usize) -> AuxArc {
+        if a < self.links {
+            AuxArc::Traversal(EdgeId::from(a))
+        } else if a < self.links + self.conv.len() {
+            AuxArc::Conversion(self.conv[a - self.links].node)
+        } else {
+            AuxArc::Tap
         }
     }
 
@@ -419,7 +427,7 @@ impl AuxEngine {
         }
         if self.warm {
             if reset_pi || self.inexact > 0 {
-                self.pot.reset(self.graph.node_count());
+                self.pot.reset(self.node_count());
                 self.pi_events.clear();
             } else {
                 self.pi_repair();
@@ -429,12 +437,10 @@ impl AuxEngine {
         stats
     }
 
-    /// Writes an arc weight into both the graph payload and the flat mirror,
-    /// maintaining the integer certification and (when warm) the potential
-    /// feasibility event queue.
-    fn set_arc_weight(&mut self, arc: EdgeId, w: f64) {
-        let i = arc.index();
-        self.graph.edge_mut(arc).weight = w;
+    /// Writes the weight of arc `i` into both the arc-indexed and the
+    /// slot-ordered arrays, maintaining the integer certification and (when
+    /// warm) the potential feasibility event queue.
+    fn set_arc_weight(&mut self, i: usize, w: f64) {
         let old = self.arc_weight[i];
         self.arc_weight[i] = w;
         let slot = self.arc_slot[i] as usize;
@@ -489,7 +495,7 @@ impl AuxEngine {
                 }
             }
         };
-        self.set_arc_weight(self.trav_arc[ei], weight);
+        self.set_arc_weight(ei, weight);
         for i in 0..self.conv_of_link[ei].len() {
             let ci = self.conv_of_link[ei][i] as usize;
             if self.conv_stamp[ci] != self.pass {
@@ -521,7 +527,7 @@ impl AuxEngine {
                 AuxWeights::CongestionExp { .. } => 0.0,
                 _ => total / k as f64,
             };
-            self.set_arc_weight(slot.arc, w);
+            self.set_arc_weight(self.links + ci, w);
         }
         self.update_conv_enabled(ci);
     }
@@ -550,18 +556,18 @@ impl AuxEngine {
             }
         };
         self.admitted[ei] = adm;
-        let ti = self.trav_arc[ei].index();
-        if self.warm && adm && !self.enabled[ti] {
+        // Link `e`'s traversal arc has arc id `e`.
+        if self.warm && adm && !self.enabled[ei] {
             // Newly enabled arc: its feasibility constraint comes into force.
-            self.pi_events.push(ti as u32);
+            self.pi_events.push(ei as u32);
         }
-        self.set_enabled(ti, adm);
+        self.set_enabled(ei, adm);
         // Tap constraints are re-derived from scratch each warm solve
         // (`warm_prepare`), so their flips need no events.
         let src_en = adm && self.cur_s == Some(net.graph().src(e));
-        self.set_enabled(self.src_tap[ei].index(), src_en);
+        self.set_enabled(self.src_tap(ei), src_en);
         let dst_en = adm && self.cur_t == Some(net.graph().dst(e));
-        self.set_enabled(self.dst_tap[ei].index(), dst_en);
+        self.set_enabled(self.dst_tap(ei), dst_en);
         for i in 0..self.conv_of_link[ei].len() {
             let ci = self.conv_of_link[ei][i] as usize;
             self.update_conv_enabled(ci);
@@ -573,7 +579,7 @@ impl AuxEngine {
     fn update_conv_enabled(&mut self, ci: usize) {
         let slot = self.conv[ci];
         let en = slot.k > 0 && self.admitted[slot.ein.index()] && self.admitted[slot.eout.index()];
-        let idx = slot.arc.index();
+        let idx = self.links + ci;
         if self.warm && en && !self.enabled[idx] {
             self.pi_events.push(idx as u32);
         }
@@ -585,22 +591,22 @@ impl AuxEngine {
         if self.cur_s != Some(s) {
             if let Some(old) = self.cur_s {
                 for &e in net.graph().out_edges(old) {
-                    self.set_enabled(self.src_tap[e.index()].index(), false);
+                    self.set_enabled(self.src_tap(e.index()), false);
                 }
             }
             for &e in net.graph().out_edges(s) {
-                self.set_enabled(self.src_tap[e.index()].index(), self.admitted[e.index()]);
+                self.set_enabled(self.src_tap(e.index()), self.admitted[e.index()]);
             }
             self.cur_s = Some(s);
         }
         if self.cur_t != Some(t) {
             if let Some(old) = self.cur_t {
                 for &e in net.graph().in_edges(old) {
-                    self.set_enabled(self.dst_tap[e.index()].index(), false);
+                    self.set_enabled(self.dst_tap(e.index()), false);
                 }
             }
             for &e in net.graph().in_edges(t) {
-                self.set_enabled(self.dst_tap[e.index()].index(), self.admitted[e.index()]);
+                self.set_enabled(self.dst_tap(e.index()), self.admitted[e.index()]);
             }
             self.cur_t = Some(t);
         }
@@ -621,7 +627,7 @@ impl AuxEngine {
             self.pi_events.clear();
             return;
         }
-        let n = self.graph.node_count();
+        let n = self.node_count();
         debug_assert_eq!(self.pot.pi.len(), n);
         for k in 0..self.pi_events.len() {
             let a = self.pi_events[k] as usize;
@@ -675,22 +681,22 @@ impl AuxEngine {
         };
         let mut ps = 0u64;
         for &e in net.graph().out_edges(s) {
-            let tap = self.src_tap[e.index()].index();
+            let tap = self.src_tap(e.index());
             if self.enabled[tap] {
                 ps = ps.max(self.pot.pi[self.arc_dst[tap] as usize]);
             }
         }
-        self.pot.pi[self.source.index()] = ps;
+        self.pot.pi[SOURCE as usize] = ps;
         let mut pt = u64::MAX;
         for &e in net.graph().in_edges(t) {
-            let tap = self.dst_tap[e.index()].index();
+            let tap = self.dst_tap(e.index());
             if self.enabled[tap] {
                 pt = pt.min(self.pot.pi[self.arc_src[tap] as usize]);
             }
         }
         // No enabled dst tap ⇒ the sink has no in-arcs at all, so its
         // potential is unconstrained.
-        self.pot.pi[self.sink.index()] = if pt == u64::MAX { 0 } else { pt };
+        self.pot.pi[SINK as usize] = if pt == u64::MAX { 0 } else { pt };
     }
 
     /// Opts this engine in/out of carrying Johnson potentials across
@@ -725,23 +731,6 @@ impl AuxEngine {
         self.inexact == 0
     }
 
-    /// The flat CSR view of the skeleton (weights and enabled bits reflect
-    /// the last [`AuxEngine::sync`]).
-    pub fn flat_view(&self) -> FlatView<'_> {
-        FlatView {
-            offsets: &self.csr_off,
-            heads: &self.csr_head,
-            slot_arc: &self.csr_arc,
-            arc_slot: &self.arc_slot,
-            src: &self.arc_src,
-            dst: &self.arc_dst,
-            weight: &self.arc_weight,
-            enabled: &self.enabled,
-            slot_weight: &self.slot_weight,
-            slot_enabled: &self.slot_enabled,
-        }
-    }
-
     /// Split-borrow accessor for the search call: the flat view and (when
     /// certified) the integer keys, alongside a mutable borrow of the
     /// potentials for warm adoption.
@@ -759,53 +748,48 @@ impl AuxEngine {
             src: &self.arc_src,
             dst: &self.arc_dst,
             weight: &self.arc_weight,
-            enabled: &self.enabled,
             slot_weight: &self.slot_weight,
             slot_enabled: &self.slot_enabled,
         };
         (view, int, &mut self.pot)
     }
 
-    /// The skeleton graph. Search it with the [`AuxEngine::enabled`] filter;
-    /// disabled arcs carry stale weights.
-    #[inline]
-    pub fn graph(&self) -> &DiGraph<AuxNode, AuxEdgeData> {
-        &self.graph
-    }
-
     /// `s'`.
     #[inline]
     pub fn source(&self) -> NodeId {
-        self.source
+        NodeId(SOURCE)
     }
 
     /// `t''`.
     #[inline]
     pub fn sink(&self) -> NodeId {
-        self.sink
+        NodeId(SINK)
     }
 
-    /// Weight of skeleton arc `ae` (meaningful only while enabled).
-    #[inline]
-    pub fn weight(&self, ae: EdgeId) -> f64 {
-        self.graph.edge(ae).weight
-    }
-
-    /// Whether skeleton arc `ae` is part of the current auxiliary graph.
-    #[inline]
-    pub fn enabled(&self, ae: EdgeId) -> bool {
-        self.enabled[ae.index()]
+    /// The enabled arcs in arc-id order, each as `(tail, head, kind,
+    /// weight)`: the form in which they are comparable with the arcs of a
+    /// scratch [`AuxGraph`](crate::aux_graph::AuxGraph) build, whose arc
+    /// list they must equal in order and weight bits.
+    pub fn enabled_arcs(&self) -> impl Iterator<Item = (AuxNode, AuxNode, AuxArc, f64)> + '_ {
+        (0..self.enabled.len())
+            .filter(|&a| self.enabled[a])
+            .map(|a| {
+                (
+                    aux_node(self.arc_src[a]),
+                    aux_node(self.arc_dst[a]),
+                    self.arc_kind(a),
+                    self.arc_weight[a],
+                )
+            })
     }
 
     /// Maps a path over the skeleton back to the physical links it
-    /// traverses (in order).
+    /// traverses (in order): arc id `e < m` is the traversal of link `e`.
     pub fn physical_edges(&self, path: &Path) -> Vec<EdgeId> {
         path.edges
             .iter()
-            .filter_map(|&ae| match self.graph.edge(ae).kind {
-                AuxArc::Traversal(pe) => Some(pe),
-                _ => None,
-            })
+            .copied()
+            .filter(|ae| ae.index() < self.links)
             .collect()
     }
 
@@ -1084,7 +1068,7 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         // closes the pass-1 span and opens the pass-2 stamp. If pass 1
         // fails (t unreachable) it never fires and neither span records.
         let mut p2_t0 = None;
-        // The searches run over the engine's CSR mirror: the bucket-queue
+        // The searches run over the engine's CSR arrays: the bucket-queue
         // integer path when every weight certifies as dyadic (bit-identical
         // to the f64 path), the flat f64 d-ary path otherwise.
         let (view, int, pot) = eng.flat_parts();
@@ -1188,29 +1172,22 @@ mod tests {
         b.build()
     }
 
-    /// Collects (kind, src-kind, dst-kind, weight-bits) of every enabled /
-    /// existing arc — the canonical form both constructions must agree on.
-    fn canon_engine(eng: &AuxEngine) -> Vec<(String, u64)> {
-        eng.graph()
-            .edge_ids()
-            .filter(|&e| eng.enabled(e))
-            .map(|e| {
-                let d = eng.graph().edge(e);
-                let s = eng.graph().node(eng.graph().src(e));
-                let t = eng.graph().node(eng.graph().dst(e));
-                (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
-            })
+    /// Collects (tail, head, kind, weight-bits) of every enabled / existing
+    /// arc — the canonical form both constructions must agree on.
+    fn canon_engine(eng: &AuxEngine) -> Vec<(AuxNode, AuxNode, AuxArc, u64)> {
+        eng.enabled_arcs()
+            .map(|(s, t, kind, w)| (s, t, kind, w.to_bits()))
             .collect()
     }
 
-    fn canon_scratch(aux: &AuxGraph) -> Vec<(String, u64)> {
+    fn canon_scratch(aux: &AuxGraph) -> Vec<(AuxNode, AuxNode, AuxArc, u64)> {
         aux.graph
             .edge_ids()
             .map(|e| {
                 let d = aux.graph.edge(e);
-                let s = aux.graph.node(aux.graph.src(e));
-                let t = aux.graph.node(aux.graph.dst(e));
-                (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
+                let s = *aux.graph.node(aux.graph.src(e));
+                let t = *aux.graph.node(aux.graph.dst(e));
+                (s, t, d.kind, d.weight.to_bits())
             })
             .collect()
     }

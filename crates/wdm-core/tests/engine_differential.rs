@@ -7,10 +7,12 @@
 //! every step, each engine's enabled subgraph must match a from-scratch
 //! build **bit-for-bit**: same admitted links, same arcs in the same
 //! relative order, identical `f64` weight bits. On top of that, the
-//! minimum-cost disjoint pair found by the reusable [`SearchArena`] over the
-//! engine must equal the allocating Suurballe over the scratch graph —
-//! same physical edges, same total-cost bits — which pins route identity
-//! (refinement is a deterministic function of the physical edge sets).
+//! minimum-cost disjoint pairs found by the reusable [`SearchArena`]'s CSR
+//! kernels over the engine (the f64 path, and the integer path whenever
+//! the weights certify) must equal the allocating Suurballe over the
+//! scratch graph — same physical edges, same total-cost bits — which pins
+//! route identity (refinement is a deterministic function of the physical
+//! edge sets).
 //!
 //! Finally the persistent-context public entry points
 //! ([`find_two_paths_mincog_ctx`], [`find_two_paths_joint_ctx`]) are
@@ -20,7 +22,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wdm_core::aux_engine::{AuxEngine, RouterCtx};
-use wdm_core::aux_graph::{AuxGraph, AuxSpec};
+use wdm_core::aux_graph::{AuxArc, AuxGraph, AuxNode, AuxSpec};
 use wdm_core::conversion::ConversionTable;
 use wdm_core::joint::{find_two_paths_joint, find_two_paths_joint_ctx};
 use wdm_core::mincog::{find_two_paths_mincog, find_two_paths_mincog_ctx};
@@ -87,51 +89,62 @@ fn random_op(rng: &mut ChaCha8Rng, net: &WdmNetwork, st: &mut ResidualState) {
 /// bits. Node/edge ids differ between the skeleton and a scratch build, but
 /// the payloads (`OutNode(e)`, `InNode(e)`, `Source`, `Sink`, arc kinds)
 /// identify arcs across both.
-fn canon_engine(eng: &AuxEngine) -> Vec<(String, u64)> {
-    eng.graph()
-        .edge_ids()
-        .filter(|&e| eng.enabled(e))
-        .map(|e| {
-            let d = eng.graph().edge(e);
-            let s = eng.graph().node(eng.graph().src(e));
-            let t = eng.graph().node(eng.graph().dst(e));
-            (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
-        })
+type Canon = (AuxNode, AuxNode, AuxArc, u64);
+
+fn canon_engine(eng: &AuxEngine) -> Vec<Canon> {
+    eng.enabled_arcs()
+        .map(|(s, t, kind, w)| (s, t, kind, w.to_bits()))
         .collect()
 }
 
-fn canon_scratch(aux: &AuxGraph) -> Vec<(String, u64)> {
+fn canon_scratch(aux: &AuxGraph) -> Vec<Canon> {
     aux.graph
         .edge_ids()
         .map(|e| {
             let d = aux.graph.edge(e);
-            let s = aux.graph.node(aux.graph.src(e));
-            let t = aux.graph.node(aux.graph.dst(e));
-            (format!("{:?}->{:?} {:?}", s, t, d.kind), d.weight.to_bits())
+            let s = *aux.graph.node(aux.graph.src(e));
+            let t = *aux.graph.node(aux.graph.dst(e));
+            (s, t, d.kind, d.weight.to_bits())
         })
         .collect()
 }
 
-/// Two optional pairs over the same skeleton must agree bit-for-bit: same
-/// feasibility, same total-cost bits, same arc-id sequences.
-fn assert_pair_bits(a: &Option<DisjointPair>, b: &Option<DisjointPair>, label: &str) {
-    match (a, b) {
+/// A pair found over the engine must agree with the scratch oracle's pair
+/// bit-for-bit: same feasibility, same total-cost bits, same physical
+/// edges on each leg.
+fn assert_matches_scratch(
+    eng: &AuxEngine,
+    scratch: &AuxGraph,
+    ours: &Option<DisjointPair>,
+    oracle: &Option<DisjointPair>,
+    label: &str,
+) {
+    match (ours, oracle) {
         (None, None) => {}
         (Some(a), Some(b)) => {
             assert_eq!(
                 a.total_cost.to_bits(),
                 b.total_cost.to_bits(),
-                "{label}: cost bits"
+                "{label}: pair cost bits"
             );
-            assert_eq!(a.paths[0].edges, b.paths[0].edges, "{label}: leg 0");
-            assert_eq!(a.paths[1].edges, b.paths[1].edges, "{label}: leg 1");
+            for leg in 0..2 {
+                assert_eq!(
+                    eng.physical_edges(&a.paths[leg]),
+                    scratch.physical_edges(&b.paths[leg]),
+                    "{label}: physical edges of leg {leg}"
+                );
+            }
         }
-        _ => panic!("{label}: feasibility disagrees"),
+        (a, b) => panic!(
+            "{label}: feasibility mismatch (engine {:?}, scratch {:?})",
+            a.is_some(),
+            b.is_some()
+        ),
     }
 }
 
-/// Engine-refreshed graph == scratch build, and arena pair search over the
-/// engine == allocating pair search over the scratch graph.
+/// Engine-refreshed graph == scratch build, and both CSR pair searches over
+/// the engine == allocating pair search over the scratch graph.
 #[allow(clippy::too_many_arguments)]
 fn check_family(
     net: &WdmNetwork,
@@ -157,35 +170,17 @@ fn check_family(
         "{ctx_label}: enabled arcs / weight bits"
     );
 
-    // Tentpole invariant: both CSR flat searches — the f64 d-ary path and,
-    // whenever the dyadic certificate holds, the scaled bucket path — must
-    // be bit-identical to the pointer-chasing arena search over the same
-    // skeleton (same arc ids, same cost bits).
+    // Both CSR searches — the f64 d-ary path and, whenever the dyadic
+    // certificate holds, the scaled bucket path — must be bit-identical to
+    // the allocating Suurballe over the scratch graph.
     let (aux_s, aux_t) = (eng.source(), eng.sink());
-    let int_pair = {
+    let (flat_pair, int_pair) = {
         let (view, int, _pot) = eng.flat_parts();
-        int.map(|iw| arena.edge_disjoint_pair_flat_int(&view, &iw, None, aux_s, aux_t, || {}))
-    };
-    let flat_pair = arena.edge_disjoint_pair_flat(&eng.flat_view(), aux_s, aux_t, || {});
-
-    let eng_pair = {
-        let eng: &AuxEngine = eng;
-        arena.edge_disjoint_pair(
-            eng.graph(),
-            eng.source(),
-            eng.sink(),
-            |e| eng.weight(e),
-            |e| eng.enabled(e),
+        (
+            arena.edge_disjoint_pair_flat(&view, aux_s, aux_t, || {}),
+            int.map(|iw| arena.edge_disjoint_pair_flat_int(&view, &iw, None, aux_s, aux_t, || {})),
         )
     };
-    assert_pair_bits(
-        &eng_pair,
-        &flat_pair,
-        &format!("{ctx_label}: flat f64 vs pointer"),
-    );
-    if let Some(ip) = &int_pair {
-        assert_pair_bits(&eng_pair, ip, &format!("{ctx_label}: flat int vs pointer"));
-    }
     let scratch_pair = edge_disjoint_pair_filtered(
         &scratch.graph,
         scratch.source,
@@ -193,27 +188,21 @@ fn check_family(
         |e| scratch.weight(e),
         |_| true,
     );
-    match (eng_pair, scratch_pair) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(
-                a.total_cost.to_bits(),
-                b.total_cost.to_bits(),
-                "{ctx_label}: pair cost bits"
-            );
-            for leg in 0..2 {
-                assert_eq!(
-                    eng.physical_edges(&a.paths[leg]),
-                    scratch.physical_edges(&b.paths[leg]),
-                    "{ctx_label}: physical edges of leg {leg}"
-                );
-            }
-        }
-        (a, b) => panic!(
-            "{ctx_label}: feasibility mismatch (engine {:?}, scratch {:?})",
-            a.is_some(),
-            b.is_some()
-        ),
+    assert_matches_scratch(
+        eng,
+        &scratch,
+        &flat_pair,
+        &scratch_pair,
+        &format!("{ctx_label}: flat f64"),
+    );
+    if let Some(ip) = &int_pair {
+        assert_matches_scratch(
+            eng,
+            &scratch,
+            ip,
+            &scratch_pair,
+            &format!("{ctx_label}: flat int"),
+        );
     }
 }
 
@@ -277,7 +266,7 @@ fn engine_equals_scratch_under_random_mutation_sequences() {
 /// Quarter-integer link costs and free conversions make every aux weight a
 /// dyadic rational below the scale cap, so the engine's integer certificate
 /// must hold and the scaled bucket search must engage — and stay
-/// bit-identical to the scratch oracle and the pointer search.
+/// bit-identical to the scratch oracle.
 ///
 /// (Conversion costs must be 0 here: a conversion arc averages over all
 /// allowed pairs *including* free identity pairs, so `m·c / k` with `m < k`

@@ -1,27 +1,27 @@
-//! Reusable search buffers for the routing hot path.
+//! Reusable search buffers and the flat Suurballe kernels of the routing
+//! hot path.
 //!
-//! Every Dijkstra/Suurballe call in the baseline implementation allocates its
-//! working state (`dist`/`pred` vectors, the heap, the Suurballe residual
-//! graph and walk lists) from scratch. [`SearchArena`] owns all of that state
-//! once and re-serves it across calls:
+//! The allocating [`edge_disjoint_pair_filtered`](crate::suurballe::edge_disjoint_pair_filtered)
+//! builds its `dist`/`pred` vectors, heap, residual graph and walk lists
+//! from scratch on every call. [`SearchArena`] owns that working state once
+//! and re-serves it across searches over a CSR-flattened [`FlatView`]:
 //!
 //! * `dist`/`pred` are *generation-stamped*: a slot is valid only if its
 //!   stamp equals the current generation, so "resetting" the arrays is a
 //!   single counter increment instead of an `O(n)` fill;
 //! * the d-ary heap is emptied with [`DaryHeap::clear`] (`O(len)` over the
 //!   few leftover slots, not over capacity);
-//! * the Suurballe residual graph keeps its node set and the capacity of its
-//!   adjacency lists via [`DiGraph::clear_edges`];
+//! * the pass-2 residual is an overlay on the CSR, never materialised;
 //! * edge masks are generation-stamped like the distance arrays.
 //!
-//! The arena variants run the *same operation sequence* as their allocating
-//! counterparts ([`dijkstra_generic`](crate::dijkstra::dijkstra_generic),
-//! [`edge_disjoint_pair_filtered`](crate::suurballe::edge_disjoint_pair_filtered)):
+//! The flat kernels run the *same relaxation sequence* as the allocating
+//! Suurballe over a graph whose per-node arcs come in ascending id order:
 //! identical relaxations in identical order with identical tie-breaking, so
-//! results are bit-for-bit equal — the allocating functions now delegate
-//! here with a fresh arena.
+//! results are bit-for-bit equal (the arena tests and
+//! `wdm-core/tests/engine_differential.rs` pin this). The allocating
+//! version stays independent of this module and serves as the oracle.
 
-use crate::{DiGraph, EdgeId, NodeId, Path};
+use crate::{EdgeId, NodeId, Path};
 use wdm_heap::{BucketQueue, DaryHeap, MinQueue};
 
 /// Largest bucket span the flat integer paths will allocate (number of
@@ -98,32 +98,9 @@ impl TreeBank {
         self.dist(v.index()).is_finite()
     }
 
-    /// Mirrors [`crate::dijkstra::ShortestPathTree::path_to`].
-    fn path_to<N, E>(&self, g: &DiGraph<N, E>, t: NodeId) -> Option<Path> {
-        if !self.reached(t) {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut at = t;
-        while at != self.source {
-            let e = self
-                .pred(at.index())
-                .expect("reached non-source node must have a pred edge");
-            edges.push(e);
-            at = g.src(e);
-        }
-        edges.reverse();
-        Some(Path {
-            src: self.source,
-            dst: t,
-            edges,
-        })
-    }
-
-    /// Flat-array variant of [`TreeBank::path_to`]: predecessor arcs are
-    /// indices into a caller-provided per-arc tail array instead of a
-    /// [`DiGraph`].
-    fn path_to_flat(&self, tail_of: &[u32], t: NodeId) -> Option<Path> {
+    /// Reconstructs the tree path `source -> t`; predecessor arcs are
+    /// indices into the caller's per-arc tail array.
+    fn path_to(&self, tail_of: &[u32], t: NodeId) -> Option<Path> {
         if !self.reached(t) {
             return None;
         }
@@ -147,8 +124,7 @@ impl TreeBank {
 
 /// A borrowed CSR-flattened view of a search graph: contiguous offset/head
 /// arrays for traversal plus parallel per-arc attribute arrays. This is the
-/// layout the incremental auxiliary-graph engine maintains; the flat search
-/// entry points traverse it without touching a [`DiGraph`].
+/// layout the incremental auxiliary-graph engine maintains.
 ///
 /// Layout contract (debug-asserted by the search entry points):
 /// * `offsets.len() == node_count + 1`; slot range of node `v` is
@@ -156,10 +132,12 @@ impl TreeBank {
 /// * `heads[slot]` is the destination node of the arc occupying `slot`, and
 ///   `slot_arc[slot]` its arc id;
 /// * per-node slots appear in ascending arc-id order (the order
-///   [`DiGraph::out_edges`] yields for a graph built by pushing arcs in id
-///   order), so relaxation order — and therefore every tie — matches the
-///   pointer-based search exactly;
-/// * `src`/`dst`/`weight`/`enabled` are indexed by arc id.
+///   [`DiGraph::out_edges`](crate::DiGraph::out_edges) yields for a graph
+///   built by pushing arcs in id order), so relaxation order — and
+///   therefore every tie — matches the allocating Suurballe over that
+///   graph exactly;
+/// * `src`/`dst`/`weight` are indexed by arc id; disabled arcs are skipped
+///   through `slot_enabled`.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatView<'a> {
     /// CSR row offsets (`len == node_count + 1`).
@@ -176,12 +154,11 @@ pub struct FlatView<'a> {
     pub dst: &'a [u32],
     /// Non-negative weight per arc id (cost units).
     pub weight: &'a [f64],
-    /// Participation flag per arc id; disabled arcs are skipped everywhere.
-    pub enabled: &'a [bool],
     /// Slot-ordered mirror of `weight`: the relaxation loops read weights
     /// sequentially in slot order instead of hopping through arc ids.
     pub slot_weight: &'a [f64],
-    /// Slot-ordered mirror of `enabled`.
+    /// Participation flag per CSR slot; disabled arcs are skipped
+    /// everywhere.
     pub slot_enabled: &'a [bool],
 }
 
@@ -274,18 +251,6 @@ impl EdgeMask {
     }
 }
 
-/// Arc of the Suurballe residual graph (see `suurballe.rs`); lives here so
-/// the arena can own a reusable residual graph.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ResidArc {
-    /// Reduced (non-negative) cost.
-    pub(crate) reduced: f64,
-    /// Originating edge in the input graph.
-    pub(crate) orig: EdgeId,
-    /// Whether this arc traverses `orig` backwards (a P1 reversal).
-    pub(crate) reversed: bool,
-}
-
 /// Owns every buffer a Dijkstra or Suurballe run needs, so steady-state
 /// searches perform no heap allocation beyond their output paths.
 ///
@@ -304,7 +269,6 @@ pub struct SearchArena {
     /// Slot-indexed twin of `mask` for the flat pass-2 scan (sequential
     /// reads); holds the same P1 edges, addressed by CSR slot.
     mask_slot: EdgeMask,
-    resid: DiGraph<(), ResidArc>,
     out_lists: Vec<Vec<EdgeId>>,
     /// Per-node reversed residual arc for the flat pass 2 (`u32::MAX` =
     /// none). P1 is a simple path, so a node has at most one masked
@@ -331,7 +295,6 @@ impl SearchArena {
             bucket: BucketQueue::new(0, 1),
             mask: EdgeMask::default(),
             mask_slot: EdgeMask::default(),
-            resid: DiGraph::new(),
             out_lists: Vec::new(),
             rev_at: Vec::new(),
             allocs: 0,
@@ -344,188 +307,12 @@ impl SearchArena {
         self.allocs
     }
 
-    /// Arena-backed [`crate::suurballe::edge_disjoint_pair_filtered`]:
-    /// minimum-cost pair of
-    /// edge-disjoint `s -> t` paths over edges accepted by `filter`. Same
-    /// algorithm, same tie-breaking, same results; only the working memory
-    /// is reused.
-    pub fn edge_disjoint_pair<N, E>(
-        &mut self,
-        g: &DiGraph<N, E>,
-        s: NodeId,
-        t: NodeId,
-        cost: impl FnMut(EdgeId) -> f64,
-        filter: impl FnMut(EdgeId) -> bool,
-    ) -> Option<crate::suurballe::DisjointPair> {
-        self.edge_disjoint_pair_staged(g, s, t, cost, filter, || {})
-    }
-
-    /// [`SearchArena::edge_disjoint_pair`] with a stage boundary hook:
-    /// `pass1_done` fires once after the pass-1 tree and P1 extraction,
-    /// immediately before the residual graph is built — the natural
-    /// observation point for per-pass timing. Results are identical.
-    pub fn edge_disjoint_pair_staged<N, E>(
-        &mut self,
-        g: &DiGraph<N, E>,
-        s: NodeId,
-        t: NodeId,
-        mut cost: impl FnMut(EdgeId) -> f64,
-        mut filter: impl FnMut(EdgeId) -> bool,
-        mut pass1_done: impl FnMut(),
-    ) -> Option<crate::suurballe::DisjointPair> {
-        if s == t {
-            return None;
-        }
-        // Pass 1: shortest path tree from s.
-        self.allocs += dijkstra_into(
-            &mut self.t1,
-            &mut self.heap,
-            g,
-            s,
-            None,
-            &mut cost,
-            &mut filter,
-        ) as u64;
-        if !self.t1.reached(t) {
-            return None;
-        }
-        let p1 = self.t1.path_to(g, t).expect("t is reached");
-        self.allocs += self.mask.begin(g.edge_count()) as u64;
-        for &e in &p1.edges {
-            self.mask.set(e.index(), true);
-        }
-        pass1_done();
-
-        // Pass 2: residual graph with reduced costs.
-        let n = g.node_count();
-        self.resid.clear_edges();
-        if self.resid.node_count() < n {
-            self.allocs += 1;
-            while self.resid.node_count() < n {
-                self.resid.add_node(());
-            }
-        }
-        for e in g.edge_ids() {
-            if !filter(e) {
-                continue;
-            }
-            let (u, v) = g.endpoints(e);
-            if self.mask.get(e.index()) {
-                // Tight tree edge: zero-cost reversal.
-                self.resid.add_edge(
-                    v,
-                    u,
-                    ResidArc {
-                        reduced: 0.0,
-                        orig: e,
-                        reversed: true,
-                    },
-                );
-            } else if self.t1.reached(u) && self.t1.reached(v) {
-                let red = cost(e) + self.t1.dist(u.index()) - self.t1.dist(v.index());
-                // Floating-point noise can push a tight edge to -epsilon.
-                let red = red.max(0.0);
-                self.resid.add_edge(
-                    u,
-                    v,
-                    ResidArc {
-                        reduced: red,
-                        orig: e,
-                        reversed: false,
-                    },
-                );
-            }
-            // Edges touching unreachable nodes cannot lie on any s->t path.
-        }
-        let (t2, resid) = (&mut self.t2, &self.resid);
-        let grew = dijkstra_into(
-            t2,
-            &mut self.heap,
-            resid,
-            s,
-            Some(t),
-            |e| resid.edge(e).reduced,
-            |_| true,
-        );
-        self.allocs += grew as u64;
-        if !self.t2.reached(t) {
-            return None;
-        }
-        let p2 = self.t2.path_to(&self.resid, t).expect("t is reached");
-
-        // Interleaving removal: cancel (e, reverse(e)) pairs. The mask
-        // currently holds P1's edges and becomes the surviving set.
-        for &re in &p2.edges {
-            let arc = self.resid.edge(re);
-            if arc.reversed {
-                debug_assert!(self.mask.get(arc.orig.index()), "reversal of non-P1 edge");
-                self.mask.set(arc.orig.index(), false);
-            } else {
-                debug_assert!(
-                    !self.mask.get(arc.orig.index()),
-                    "forward arc duplicates P1 edge"
-                );
-                self.mask.set(arc.orig.index(), true);
-            }
-        }
-
-        // Decompose the surviving edge set into two s->t paths by walking.
-        if self.out_lists.len() < n {
-            self.out_lists.resize_with(n, Vec::new);
-            self.allocs += 1;
-        }
-        let mut total = 0.0;
-        for e in g.edge_ids() {
-            if self.mask.get(e.index()) {
-                self.out_lists[g.src(e).index()].push(e);
-                total += cost(e);
-            }
-        }
-        let out_lists = &mut self.out_lists;
-        let mut walk = || -> Path {
-            let mut edges = Vec::new();
-            let mut at = s;
-            while at != t {
-                let e = out_lists[at.index()]
-                    .pop()
-                    .expect("balanced edge set cannot strand a walk before t");
-                edges.push(e);
-                at = g.dst(e);
-            }
-            Path {
-                src: s,
-                dst: t,
-                edges,
-            }
-        };
-        let a = walk();
-        let b = walk();
-        debug_assert!(
-            self.out_lists.iter().all(|l| l.is_empty()),
-            "leftover edges after extracting two paths (zero-cost cycle?)"
-        );
-        // Defensive in release builds: a zero-cost cycle must not leak edges
-        // into the next search served by this arena.
-        for l in &mut self.out_lists {
-            l.clear();
-        }
-        let (first, second) = if a.cost(&mut cost) <= b.cost(&mut cost) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        debug_assert!(!first.shares_edge_with(&second));
-        Some(crate::suurballe::DisjointPair {
-            paths: [first, second],
-            total_cost: total,
-        })
-    }
-
-    /// [`SearchArena::edge_disjoint_pair_staged`] over a [`FlatView`]:
-    /// identical algorithm, identical tie-breaking, bit-identical results —
-    /// but every traversal runs over contiguous CSR arrays instead of
-    /// pointer-chased adjacency lists, and the Suurballe residual graph is
-    /// rebuilt by counting sort into flat arrays.
+    /// [`crate::suurballe::edge_disjoint_pair_filtered`] over a
+    /// [`FlatView`]'s enabled arcs: identical algorithm, identical
+    /// tie-breaking, bit-identical results, with every traversal over
+    /// contiguous CSR arrays and reused buffers. `pass1_done` fires once
+    /// after the pass-1 tree and `P1` extraction, before pass 2 — the
+    /// observation point for per-pass timing.
     pub fn edge_disjoint_pair_flat(
         &mut self,
         g: &FlatView<'_>,
@@ -573,7 +360,7 @@ impl SearchArena {
         let n = g.node_count();
         let m = g.arc_count();
         debug_assert_eq!(g.heads.len(), g.slot_arc.len());
-        debug_assert!(g.src.len() == m && g.dst.len() == m && g.enabled.len() == m);
+        debug_assert!(g.src.len() == m && g.dst.len() == m);
         debug_assert!(
             g.arc_slot.len() == m && g.slot_weight.len() == m && g.slot_enabled.len() == m
         );
@@ -710,7 +497,7 @@ impl SearchArena {
         if !self.t1.reached(t) {
             return None;
         }
-        let p1 = self.t1.path_to_flat(g.src, t).expect("t is reached");
+        let p1 = self.t1.path_to(g.src, t).expect("t is reached");
         self.allocs += self.mask.begin(m) as u64;
         self.allocs += self.mask_slot.begin(m) as u64;
         for &e in &p1.edges {
@@ -726,8 +513,8 @@ impl SearchArena {
         // each P1 arc reversed at reduced cost 0. P1 is a simple path, so a
         // node has at most one masked in-arc — at most one reversed arc —
         // and merging it into the forward slot scan by ascending original
-        // arc id reproduces the pointer path's residual insertion order,
-        // and therefore every relaxation tie, exactly. Pass-2 predecessor
+        // arc id reproduces the allocating version's residual insertion
+        // order, and therefore every relaxation tie, exactly. Pass-2 predecessor
         // arcs are encoded as `orig_arc << 1 | reversed`.
         if self.rev_at.len() < n {
             self.rev_at.resize(n, u32::MAX);
@@ -780,7 +567,8 @@ impl SearchArena {
                             continue;
                         }
                         // Floating-point noise can push a tight edge to
-                        // -epsilon; clamp exactly as the pointer path does.
+                        // -epsilon; clamp exactly as the allocating version
+                        // does.
                         let red = (g.slot_weight[slot] + d1_u - self.t1.dist(v)).max(0.0);
                         let rk = (red * scale) as u64;
                         let nd = du + rk;
@@ -936,52 +724,11 @@ impl SearchArena {
     }
 }
 
-/// Dijkstra into a [`TreeBank`]: the exact relaxation loop of
-/// [`dijkstra_generic`](crate::dijkstra::dijkstra_generic) with the default
-/// 4-ary heap, writing into reused buffers. Returns whether the tree bank
-/// had to grow (an allocation event).
-fn dijkstra_into<N, E>(
-    bank: &mut TreeBank,
-    heap: &mut DaryHeap<f64, 4>,
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: Option<NodeId>,
-    mut cost: impl FnMut(EdgeId) -> f64,
-    mut filter: impl FnMut(EdgeId) -> bool,
-) -> bool {
-    let n = g.node_count();
-    let grew = bank.begin(n, source);
-    heap.ensure_capacity(n);
-    heap.clear();
-    bank.set(source.index(), 0.0, None);
-    heap.insert(source.index(), 0.0);
-    while let Some((u_idx, du)) = heap.pop_min() {
-        let u = NodeId::from(u_idx);
-        if Some(u) == target {
-            break;
-        }
-        for &e in g.out_edges(u) {
-            if !filter(e) {
-                continue;
-            }
-            let w = cost(e);
-            debug_assert!(w >= 0.0, "negative arc weight {w} on {e:?}");
-            let v = g.dst(e);
-            let nd = du + w;
-            if nd < bank.dist(v.index()) {
-                bank.set(v.index(), nd, Some(e));
-                heap.insert_or_decrease(v.index(), nd);
-            }
-        }
-    }
-    grew
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::suurballe::edge_disjoint_pair_filtered;
-    use crate::topology;
+    use crate::{topology, DiGraph};
     use rand::{Rng, SeedableRng};
 
     fn random_graph(rng: &mut impl Rng, n: usize, p: f64) -> DiGraph<(), f64> {
@@ -1003,46 +750,20 @@ mod tests {
         g
     }
 
-    /// The arena variant must be indistinguishable from the allocating one,
-    /// including exact path choice among cost ties.
-    #[test]
-    fn arena_pair_matches_allocating_pair() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED);
-        let mut arena = SearchArena::new();
-        for trial in 0..200 {
-            let n = rng.gen_range(2..14);
-            let g = random_graph(&mut rng, n, 0.3);
-            let s = NodeId::from(rng.gen_range(0..n));
-            let t = NodeId::from(rng.gen_range(0..n));
-            let banned = EdgeId::from(rng.gen_range(0..g.edge_count().max(1)));
-            let filter = |e: EdgeId| e != banned;
-            let base = edge_disjoint_pair_filtered(&g, s, t, |e| g.weight(e), filter);
-            let fast = arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), filter);
-            match (base, fast) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits(), "t{trial}");
-                    assert_eq!(a.paths[0].edges, b.paths[0].edges, "trial {trial}");
-                    assert_eq!(a.paths[1].edges, b.paths[1].edges, "trial {trial}");
-                }
-                (a, b) => panic!("trial {trial}: feasibility disagrees ({a:?} vs {b:?})"),
-            }
-        }
-    }
-
     /// A warmed-up arena serves same-size searches without allocating.
     #[test]
     fn alloc_events_plateau_after_warmup() {
         let mut arena = SearchArena::new();
         let g = topology::ring(24, 1.0);
+        let flat = FlatArrays::build(&g, |_| true);
         arena
-            .edge_disjoint_pair(&g, NodeId(0), NodeId(12), |e| g.weight(e), |_| true)
+            .edge_disjoint_pair_flat(&flat.view(), NodeId(0), NodeId(12), || {})
             .unwrap();
         let after_warmup = arena.alloc_events();
         assert!(after_warmup > 0, "first search must grow the buffers");
         for _ in 0..10 {
             arena
-                .edge_disjoint_pair(&g, NodeId(0), NodeId(12), |e| g.weight(e), |_| true)
+                .edge_disjoint_pair_flat(&flat.view(), NodeId(0), NodeId(12), || {})
                 .unwrap();
         }
         assert_eq!(arena.alloc_events(), after_warmup);
@@ -1058,7 +779,6 @@ mod tests {
         src: Vec<u32>,
         dst: Vec<u32>,
         weight: Vec<f64>,
-        enabled: Vec<bool>,
         slot_weight: Vec<f64>,
         slot_enabled: Vec<bool>,
         key: Vec<u64>,
@@ -1080,7 +800,6 @@ mod tests {
                 src: vec![0; m],
                 dst: vec![0; m],
                 weight: vec![0.0; m],
-                enabled: vec![false; m],
                 slot_weight: vec![0.0; m],
                 slot_enabled: vec![false; m],
                 key: vec![0; m],
@@ -1102,14 +821,14 @@ mod tests {
                 f.src[i] = g.src(e).index() as u32;
                 f.dst[i] = g.dst(e).index() as u32;
                 f.weight[i] = g.weight(e);
-                f.enabled[i] = filter(e);
+                let enabled = filter(e);
                 let k = (g.weight(e) * scale) as u64;
                 assert_eq!(k as f64 / scale, g.weight(e), "test weights must be dyadic");
                 let slot = f.arc_slot[i] as usize;
                 f.slot_weight[slot] = f.weight[i];
-                f.slot_enabled[slot] = f.enabled[i];
+                f.slot_enabled[slot] = enabled;
                 f.key[slot] = k;
-                if f.enabled[i] {
+                if enabled {
                     f.max_key = f.max_key.max(k);
                 }
             }
@@ -1125,7 +844,6 @@ mod tests {
                 src: &self.src,
                 dst: &self.dst,
                 weight: &self.weight,
-                enabled: &self.enabled,
                 slot_weight: &self.slot_weight,
                 slot_enabled: &self.slot_enabled,
             }
@@ -1157,11 +875,11 @@ mod tests {
     }
 
     /// The flat f64 path and the cold integer/bucket path must both be
-    /// bit-identical to the pointer-based arena search.
+    /// bit-identical to the allocating Suurballe over the same graph,
+    /// including exact path choice among cost ties.
     #[test]
     fn flat_paths_match_pointer_path() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF1A7);
-        let mut ptr_arena = SearchArena::new();
         let mut flat_arena = SearchArena::new();
         let mut int_arena = SearchArena::new();
         for trial in 0..200 {
@@ -1171,7 +889,7 @@ mod tests {
             let t = NodeId::from(rng.gen_range(0..n));
             let banned = EdgeId::from(rng.gen_range(0..g.edge_count().max(1)));
             let flat = FlatArrays::build(&g, |e| e != banned);
-            let base = ptr_arena.edge_disjoint_pair(&g, s, t, |e| g.weight(e), |e| e != banned);
+            let base = edge_disjoint_pair_filtered(&g, s, t, |e| g.weight(e), |e| e != banned);
             let f64_pair = flat_arena.edge_disjoint_pair_flat(&flat.view(), s, t, || {});
             let int_pair =
                 int_arena.edge_disjoint_pair_flat_int(&flat.view(), &flat.int(), None, s, t, || {});
@@ -1277,24 +995,14 @@ mod tests {
         let mut arena = SearchArena::new();
         for &n in &[30usize, 4, 50, 3, 12] {
             let g = topology::ring(n, 1.0);
+            let flat = FlatArrays::build(&g, |_| true);
+            let t = NodeId::from(n / 2);
             let pair = arena
-                .edge_disjoint_pair(
-                    &g,
-                    NodeId(0),
-                    NodeId::from(n / 2),
-                    |e| g.weight(e),
-                    |_| true,
-                )
+                .edge_disjoint_pair_flat(&flat.view(), NodeId(0), t, || {})
                 .expect("ring always has two disjoint paths");
             assert!(pair.is_edge_disjoint());
-            let base = edge_disjoint_pair_filtered(
-                &g,
-                NodeId(0),
-                NodeId::from(n / 2),
-                |e| g.weight(e),
-                |_| true,
-            )
-            .unwrap();
+            let base =
+                edge_disjoint_pair_filtered(&g, NodeId(0), t, |e| g.weight(e), |_| true).unwrap();
             assert_eq!(pair.total_cost, base.total_cost);
         }
     }

@@ -5,7 +5,7 @@
 //! pass. All variants reject negative arc weights with a debug assertion —
 //! Suurballe's second pass feeds them non-negative *reduced* costs instead.
 
-use crate::{Csr, DiGraph, EdgeId, NodeId, Path};
+use crate::{DiGraph, EdgeId, NodeId, Path};
 use wdm_heap::{BucketQueue, DaryHeap, MinQueue};
 
 /// Result of a single-source shortest-path computation.
@@ -142,30 +142,6 @@ pub fn dijkstra_filtered_to<N, E>(
     dijkstra_generic::<N, E, DaryHeap<f64, 4>>(g, source, Some(target), cost, filter)
 }
 
-/// Dijkstra over a prebuilt CSR view (hot-loop variant: contiguous arc
-/// storage, cached weights).
-pub fn dijkstra_csr(csr: &Csr, source: NodeId) -> ShortestPathTree {
-    let n = csr.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
-    let mut queue: DaryHeap<f64, 4> = DaryHeap::with_capacity(n);
-    dist[source.index()] = 0.0;
-    queue.insert(source.index(), 0.0);
-    while let Some((u_idx, du)) = queue.pop_min() {
-        for arc in csr.out_arcs(NodeId::from(u_idx)) {
-            debug_assert!(arc.weight >= 0.0);
-            let nd = du + arc.weight;
-            let v = arc.to.index();
-            if nd < dist[v] {
-                dist[v] = nd;
-                pred[v] = Some(arc.edge);
-                queue.insert_or_decrease(v, nd);
-            }
-        }
-    }
-    ShortestPathTree { source, dist, pred }
-}
-
 /// Dial's algorithm: Dijkstra with a monotone bucket queue for *integer*
 /// edge costs bounded by `max_cost`. O(m + n + C) with tiny constants —
 /// the fast path for hop-count routing and quantised link weights.
@@ -204,7 +180,6 @@ pub fn dijkstra_bucket<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdm_heap::PairingHeap;
 
     /// The classic CLRS example graph.
     fn sample() -> DiGraph<(), f64> {
@@ -271,31 +246,6 @@ mod tests {
         assert_eq!(t.distance(NodeId(3)), Some(5.0));
         let p = t.path_to(&g, NodeId(3)).unwrap();
         assert_eq!(p.cost(|e| g.weight(e)), 5.0);
-    }
-
-    #[test]
-    fn csr_variant_agrees_with_list_variant() {
-        let g = sample();
-        let csr = Csr::from_weighted(&g);
-        for s in g.node_ids() {
-            let a = dijkstra(&g, s, |e| g.weight(e));
-            let b = dijkstra_csr(&csr, s);
-            assert_eq!(a.dist, b.dist, "source {s:?}");
-        }
-    }
-
-    #[test]
-    fn pairing_heap_engine_agrees() {
-        let g = sample();
-        let a = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        let b = dijkstra_generic::<_, _, PairingHeap<f64>>(
-            &g,
-            NodeId(0),
-            None,
-            |e| g.weight(e),
-            |_| true,
-        );
-        assert_eq!(a.dist, b.dist);
     }
 
     #[test]

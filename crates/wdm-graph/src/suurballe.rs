@@ -24,7 +24,6 @@
 //! the evaluation compares against (greedy shortest-then-remove, which is
 //! both suboptimal and incomplete on "trap" topologies).
 
-use crate::arena::{ResidArc, SearchArena};
 use crate::dijkstra::{dijkstra_filtered, dijkstra_filtered_to};
 use crate::{DiGraph, EdgeId, NodeId, Path};
 
@@ -65,16 +64,144 @@ impl DisjointPair {
 /// assert!(pair.is_edge_disjoint());
 /// assert_eq!(pair.total_cost, 22.0); // {0-1-3, 0-2-3}
 /// ```
+///
+/// This is the allocating textbook version and the oracle the flat
+/// [`SearchArena`](crate::SearchArena) kernels are checked against.
 pub fn edge_disjoint_pair_filtered<N, E>(
     g: &DiGraph<N, E>,
     s: NodeId,
     t: NodeId,
-    cost: impl FnMut(EdgeId) -> f64,
-    filter: impl FnMut(EdgeId) -> bool,
+    mut cost: impl FnMut(EdgeId) -> f64,
+    mut filter: impl FnMut(EdgeId) -> bool,
 ) -> Option<DisjointPair> {
-    // The algorithm lives in `SearchArena` so hot loops can reuse the
-    // working buffers; a one-shot call just uses a throwaway arena.
-    SearchArena::new().edge_disjoint_pair(g, s, t, cost, filter)
+    if s == t {
+        return None;
+    }
+    // Pass 1: shortest-path tree from s.
+    let tree1 = dijkstra_filtered(g, s, &mut cost, &mut filter);
+    let p1 = tree1.path_to(g, t)?;
+    let mut on_p1 = vec![false; g.edge_count()];
+    for &e in &p1.edges {
+        on_p1[e.index()] = true;
+    }
+
+    // Residual graph with reduced costs: P1's edges reversed at cost 0
+    // (tree edges are tight), every other edge between reached nodes at
+    // `c(e) + d(u) - d(v)`. Edges touching unreachable nodes cannot lie on
+    // any s->t path.
+    let mut resid: DiGraph<(), ResidArc> = DiGraph::with_capacity(g.node_count(), g.edge_count());
+    for _ in 0..g.node_count() {
+        resid.add_node(());
+    }
+    for e in g.edge_ids() {
+        if !filter(e) {
+            continue;
+        }
+        let (u, v) = g.endpoints(e);
+        if on_p1[e.index()] {
+            resid.add_edge(
+                v,
+                u,
+                ResidArc {
+                    cost: 0.0,
+                    orig: e,
+                    reversed: true,
+                },
+            );
+        } else if tree1.reached(u) && tree1.reached(v) {
+            // Floating-point noise can push a tight edge to -epsilon.
+            let red = (cost(e) + tree1.dist[u.index()] - tree1.dist[v.index()]).max(0.0);
+            resid.add_edge(
+                u,
+                v,
+                ResidArc {
+                    cost: red,
+                    orig: e,
+                    reversed: false,
+                },
+            );
+        }
+    }
+
+    // Pass 2: only the path to t is needed, so stop once t settles.
+    let tree2 = dijkstra_filtered_to(&resid, s, t, |e| resid.edge(e).cost, |_| true);
+    let p2 = tree2.path_to(&resid, t)?;
+    Some(cancel_and_walk(g, &resid, on_p1, &p2, cost))
+}
+
+/// Arc of a disjoint-pair residual graph.
+#[derive(Debug, Clone, Copy)]
+struct ResidArc {
+    /// Residual cost: reduced (Suurballe) or raw and possibly negative on
+    /// reversals (Bhandari).
+    cost: f64,
+    /// Originating edge in the input graph.
+    orig: EdgeId,
+    /// Whether this arc traverses `orig` backwards (a P1 reversal).
+    reversed: bool,
+}
+
+/// The shared epilogue of both disjoint-pair algorithms. Interleaving
+/// removal: `in_set` holds P1's edges; edges whose reversals the residual
+/// path `p2` used cancel, and `p2`'s forward edges join. The surviving set
+/// then decomposes into two `s -> t` paths by walking from `s`.
+fn cancel_and_walk<N, E>(
+    g: &DiGraph<N, E>,
+    resid: &DiGraph<(), ResidArc>,
+    mut in_set: Vec<bool>,
+    p2: &Path,
+    mut cost: impl FnMut(EdgeId) -> f64,
+) -> DisjointPair {
+    let (s, t) = (p2.src, p2.dst);
+    for &re in &p2.edges {
+        let arc = resid.edge(re);
+        debug_assert_eq!(
+            in_set[arc.orig.index()],
+            arc.reversed,
+            "residual arc disagrees with P1 membership"
+        );
+        in_set[arc.orig.index()] = !arc.reversed;
+    }
+    let mut out_lists: Vec<Vec<EdgeId>> = vec![Vec::new(); g.node_count()];
+    let mut total = 0.0;
+    for e in g.edge_ids() {
+        if in_set[e.index()] {
+            out_lists[g.src(e).index()].push(e);
+            total += cost(e);
+        }
+    }
+    let mut walk = || -> Path {
+        let mut edges = Vec::new();
+        let mut at = s;
+        while at != t {
+            let e = out_lists[at.index()]
+                .pop()
+                .expect("balanced edge set cannot strand a walk before t");
+            edges.push(e);
+            at = g.dst(e);
+        }
+        Path {
+            src: s,
+            dst: t,
+            edges,
+        }
+    };
+    let a = walk();
+    let b = walk();
+    debug_assert!(
+        out_lists.iter().all(|l| l.is_empty()),
+        "leftover edges after extracting two paths (zero-cost cycle?)"
+    );
+    let (first, second) = if a.cost(&mut cost) <= b.cost(&mut cost) {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    debug_assert!(!first.shares_edge_with(&second));
+    DisjointPair {
+        paths: [first, second],
+        total_cost: total,
+    }
 }
 
 /// [`edge_disjoint_pair_filtered`] over all edges.
@@ -179,7 +306,7 @@ pub fn bhandari_pair<N, E>(
                 v,
                 u,
                 ResidArc {
-                    reduced: -cost(e),
+                    cost: -cost(e),
                     orig: e,
                     reversed: true,
                 },
@@ -189,7 +316,7 @@ pub fn bhandari_pair<N, E>(
                 u,
                 v,
                 ResidArc {
-                    reduced: cost(e),
+                    cost: cost(e),
                     orig: e,
                     reversed: false,
                 },
@@ -198,56 +325,12 @@ pub fn bhandari_pair<N, E>(
     }
     // No negative cycles exist: P1 is a shortest path, so its reversals
     // cannot close a negative loop with forward edges.
-    let tree2 = match crate::bellman_ford::bellman_ford(&resid, s, |e| resid.edge(e).reduced) {
+    let tree2 = match crate::bellman_ford::bellman_ford(&resid, s, |e| resid.edge(e).cost) {
         crate::bellman_ford::BellmanFord::Tree(t) => t,
         crate::bellman_ford::BellmanFord::NegativeCycle(_) => return None,
     };
-    if !tree2.reached(t) {
-        return None;
-    }
-    let p2 = tree2.path_to(&resid, t).expect("t is reached");
-
-    // Interleaving removal, identical to the Suurballe epilogue.
-    let mut in_set = on_p1;
-    for &re in &p2.edges {
-        let arc = resid.edge(re);
-        in_set[arc.orig.index()] = !arc.reversed;
-    }
-    let mut out_lists: Vec<Vec<EdgeId>> = vec![Vec::new(); g.node_count()];
-    let mut total = 0.0;
-    for e in g.edge_ids() {
-        if in_set[e.index()] {
-            out_lists[g.src(e).index()].push(e);
-            total += cost(e);
-        }
-    }
-    let mut walk = || -> Path {
-        let mut edges = Vec::new();
-        let mut at = s;
-        while at != t {
-            let e = out_lists[at.index()]
-                .pop()
-                .expect("balanced edge set cannot strand a walk before t");
-            edges.push(e);
-            at = g.dst(e);
-        }
-        Path {
-            src: s,
-            dst: t,
-            edges,
-        }
-    };
-    let a = walk();
-    let b = walk();
-    let (first, second) = if a.cost(&mut cost) <= b.cost(&mut cost) {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    Some(DisjointPair {
-        paths: [first, second],
-        total_cost: total,
-    })
+    let p2 = tree2.path_to(&resid, t)?;
+    Some(cancel_and_walk(g, &resid, on_p1, &p2, cost))
 }
 
 /// The greedy two-step baseline: shortest path, delete its edges, shortest

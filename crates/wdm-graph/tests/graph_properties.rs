@@ -5,11 +5,11 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wdm_graph::bellman_ford::{bellman_ford, BellmanFord};
-use wdm_graph::dijkstra::{dijkstra, dijkstra_csr, dijkstra_to};
+use wdm_graph::dijkstra::{dijkstra, dijkstra_to};
 use wdm_graph::ksp::yen_k_shortest;
 use wdm_graph::suurballe::{edge_disjoint_pair, two_step_pair};
 use wdm_graph::traverse::{bfs_distances, edge_connectivity, reachable_from};
-use wdm_graph::{Csr, DiGraph, NodeId};
+use wdm_graph::{DiGraph, NodeId};
 
 fn random_graph(seed: u64, max_n: u32, p: f64) -> DiGraph<(), f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -40,15 +40,6 @@ proptest! {
             prop_assert!((d.dist[v] - bf.dist[v]).abs() < 1e-9
                 || (d.dist[v].is_infinite() && bf.dist[v].is_infinite()));
         }
-    }
-
-    #[test]
-    fn csr_dijkstra_agrees_with_list_dijkstra(seed in 0u64..100_000) {
-        let g = random_graph(seed, 20, 0.25);
-        let csr = Csr::from_weighted(&g);
-        let a = dijkstra(&g, NodeId(0), |e| g.weight(e));
-        let b = dijkstra_csr(&csr, NodeId(0));
-        prop_assert_eq!(a.dist, b.dist);
     }
 
     #[test]

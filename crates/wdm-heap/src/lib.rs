@@ -7,13 +7,11 @@
 //!
 //! The paper's Theorem 1 cites Fredman–Tarjan Fibonacci heaps for the
 //! `O(m + n log n)` bound. Fibonacci heaps are practically dominated by
-//! simpler structures, so this crate provides three interchangeable engines
+//! simpler structures, so this crate provides two interchangeable engines
 //! behind the [`MinQueue`] trait:
 //!
 //! * [`DaryHeap`] — an indexed d-ary heap (default `D = 4`), the practical
 //!   workhorse: `O(log n)` everything, excellent constants and locality.
-//! * [`PairingHeap`] — amortised `o(log n)` decrease-key, the practical
-//!   stand-in for the Fibonacci heap in Theorem 1's bound.
 //! * [`BucketQueue`] — a monotone integer bucket queue, `O(1)` per operation
 //!   for bounded integer keys (used when costs are small integers).
 //!
@@ -26,11 +24,9 @@
 
 mod bucket;
 mod dary;
-mod pairing;
 
 pub use bucket::BucketQueue;
 pub use dary::DaryHeap;
-pub use pairing::PairingHeap;
 
 /// An addressable min-priority queue over dense integer ids.
 ///
@@ -139,10 +135,5 @@ mod trait_tests {
     #[test]
     fn dary_implements_trait_contract() {
         exercise::<DaryHeap<f64, 4>>();
-    }
-
-    #[test]
-    fn pairing_implements_trait_contract() {
-        exercise::<PairingHeap<f64>>();
     }
 }

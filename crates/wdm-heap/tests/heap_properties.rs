@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use wdm_heap::{BucketQueue, DaryHeap, MinQueue, PairingHeap};
+use wdm_heap::{BucketQueue, DaryHeap, MinQueue};
 
 const CAP: usize = 24;
 
@@ -90,11 +90,6 @@ proptest! {
     #[test]
     fn dary8_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         check_against_model(DaryHeap::<u64, 8>::with_capacity(CAP), &ops);
-    }
-
-    #[test]
-    fn pairing_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        check_against_model(PairingHeap::<u64>::with_capacity(CAP), &ops);
     }
 
     /// The bucket queue is monotone, so we only feed it non-decreasing pop

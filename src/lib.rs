@@ -9,10 +9,11 @@
 //! This crate re-exports the workspace members so downstream users can depend
 //! on a single crate:
 //!
-//! * [`graph`] — directed-graph substrate: CSR storage, Dijkstra,
-//!   Bellman–Ford, Yen's k-shortest-paths, Suurballe's disjoint-pair
-//!   algorithm, min-cost flow, and WAN topology generators.
-//! * [`heap`] — priority queues (indexed d-ary, pairing, bucket).
+//! * [`graph`] — directed-graph substrate: adjacency-list graphs,
+//!   Dijkstra, Bellman–Ford, Yen's k-shortest-paths, Suurballe's
+//!   disjoint-pair algorithm (allocating and CSR-flattened), min-cost flow,
+//!   and WAN topology generators.
+//! * [`heap`] — priority queues (indexed d-ary, bucket).
 //! * [`ilp`] — a small dense-simplex LP solver with 0/1 branch-and-bound,
 //!   used by the paper's exact integer-programming formulation.
 //! * [`core`] — the paper itself: the WDM network model, semilightpaths,
