@@ -808,13 +808,14 @@ fn serve_exits_cleanly_on_sigterm() {
 
 /// The perf gate must not pass vacuously: a gated metric present in the
 /// baseline but missing from the candidate exits non-zero and names the
-/// metric, while the same diff without `--fail-drop` stays informational.
+/// metric, while the same diff without `--fail-drop` stays informational
+/// and a metric only the candidate has is not a regression.
 #[test]
 fn telemetry_diff_fails_when_a_gated_metric_vanishes() {
     let base = tmp("diff_gone_base.json");
     let cand = tmp("diff_gone_cand.json");
     std::fs::write(&base, r#"{"a": {"speedup": 2.0}, "b": 1.0}"#).expect("write");
-    std::fs::write(&cand, r#"{"b": 1.0}"#).expect("write");
+    std::fs::write(&cand, r#"{"b": 1.0, "fresh": 3.0}"#).expect("write");
     let diff = |extra: &[&str]| {
         wdm()
             .arg("telemetry")
@@ -834,6 +835,9 @@ fn telemetry_diff_fails_when_a_gated_metric_vanishes() {
     );
     assert!(diff(&["--metrics", "speedup"]).status.success());
     assert!(diff(&["--metrics", "b", "--fail-drop", "15"])
+        .status
+        .success());
+    assert!(diff(&["--metrics", "fresh", "--fail-drop", "15"])
         .status
         .success());
 }

@@ -130,6 +130,8 @@ pub struct AuxEngine {
     spec: AuxSpec,
     /// Number of physical links `m`.
     links: usize,
+    /// Physical node count of the network the skeleton was built for.
+    nodes: usize,
     /// All potential conversion arcs, in skeleton emission order.
     conv: Vec<ConvSlot>,
     /// Per physical link: indices into `conv` of the slots touching it.
@@ -138,8 +140,6 @@ pub struct AuxEngine {
     enabled: Vec<bool>,
     /// Per physical link: admitted under the current state + threshold.
     admitted: Vec<bool>,
-    /// `(node_count, link_count)` of the network the skeleton was built for.
-    fingerprint: (usize, usize),
     /// State change clock at the last sync.
     synced_clock: u64,
     ever_synced: bool,
@@ -291,7 +291,7 @@ impl AuxEngine {
             conv_of_link,
             enabled: vec![false; edge_count],
             admitted: vec![false; m],
-            fingerprint: (net.graph().node_count(), net.link_count()),
+            nodes: net.graph().node_count(),
             synced_clock: 0,
             ever_synced: false,
             mask_stale: false,
@@ -353,7 +353,7 @@ impl AuxEngine {
     /// Whether this engine's skeleton was built for (a network shaped like)
     /// `net`. A cheap guard, not a content hash: use one engine per network.
     pub fn matches(&self, net: &WdmNetwork) -> bool {
-        self.fingerprint == (net.graph().node_count(), net.link_count())
+        (self.nodes, self.links) == (net.graph().node_count(), net.link_count())
     }
 
     /// The active spec (threshold updates via [`AuxEngine::set_threshold`]

@@ -878,7 +878,7 @@ mod tests {
     /// bit-identical to the allocating Suurballe over the same graph,
     /// including exact path choice among cost ties.
     #[test]
-    fn flat_paths_match_pointer_path() {
+    fn flat_paths_match_allocating_pair() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF1A7);
         let mut flat_arena = SearchArena::new();
         let mut int_arena = SearchArena::new();
