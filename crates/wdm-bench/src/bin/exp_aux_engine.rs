@@ -20,6 +20,13 @@
 //! and cost magnitudes as the continuous generator — the tiers stay
 //! comparable with earlier baselines).
 //!
+//! A measurement keeps the fastest of five alternating passes per pipeline
+//! (three with `--quick`). The full run measures that protocol five times
+//! independently and reports the median of each figure; the speedup is the
+//! median of the five ratios, listed in `repeat_speedups`. A single
+//! min-of-5 ratio still spreads about ±12 % between runs on a shared host,
+//! which CI's 15 % gate on it could not tell from a regression.
+//!
 //! Writes the machine-readable results to `BENCH_aux_engine.json` in the
 //! working directory (the committed artifact lives at the repo root).
 
@@ -41,8 +48,10 @@ struct SizeResult {
     requests: usize,
     scratch_ns_per_req: f64,
     csr_ns_per_req: f64,
-    /// scratch / csr.
+    /// scratch / csr: the median of the repeats' ratios.
     csr_speedup: f64,
+    /// Each repeat's scratch / csr ratio.
+    repeat_speedups: Vec<f64>,
 }
 
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -150,20 +159,21 @@ fn csr_pass(net: &WdmNetwork, stream: &[(NodeId, NodeId)], seed: u64) -> (usize,
     (found, secs)
 }
 
-fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) -> SizeResult {
-    let mut r = rng(seed);
-    let net = dyadic_connected_instance(&mut r, n, d, w);
-    let stream = requests(&net, reqs, seed ^ 1);
-
+/// One min-of-`passes` measurement: (scratch ns/request, csr ns/request).
+fn min_of_passes(
+    net: &WdmNetwork,
+    stream: &[(NodeId, NodeId)],
+    passes: usize,
+    seed: u64,
+) -> (f64, f64) {
     // Alternate the pipelines and keep each one's fastest pass: the minimum
-    // is the run least disturbed by other tenants of the machine, so the
-    // speedup ratio is stable enough for CI to gate on (a single-pass
-    // measurement swings ±25 % on a busy box).
+    // is the run least disturbed by other tenants of the machine (a
+    // single-pass measurement swings ±25 % on a busy box).
     let mut scratch_secs = f64::INFINITY;
     let mut csr_secs = f64::INFINITY;
     for _ in 0..passes {
-        let (found_scratch, ss) = scratch_pass(&net, &stream, seed);
-        let (found_csr, cs) = csr_pass(&net, &stream, seed);
+        let (found_scratch, ss) = scratch_pass(net, stream, seed);
+        let (found_csr, cs) = csr_pass(net, stream, seed);
         assert_eq!(
             found_scratch, found_csr,
             "the CSR pipeline must route identically"
@@ -171,30 +181,55 @@ fn measure(n: usize, d: usize, w: usize, reqs: usize, passes: usize, seed: u64) 
         scratch_secs = scratch_secs.min(ss);
         csr_secs = csr_secs.min(cs);
     }
+    let per_req = |secs: f64| secs / stream.len() as f64 * 1e9;
+    (per_req(scratch_secs), per_req(csr_secs))
+}
 
-    let scratch_ns = scratch_secs / reqs as f64 * 1e9;
-    let csr_ns = csr_secs / reqs as f64 * 1e9;
+/// The middle value of an odd-length sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn measure(
+    n: usize,
+    d: usize,
+    w: usize,
+    reqs: usize,
+    passes: usize,
+    repeats: usize,
+    seed: u64,
+) -> SizeResult {
+    let mut r = rng(seed);
+    let net = dyadic_connected_instance(&mut r, n, d, w);
+    let stream = requests(&net, reqs, seed ^ 1);
+
+    let runs: Vec<(f64, f64)> = (0..repeats)
+        .map(|_| min_of_passes(&net, &stream, passes, seed))
+        .collect();
+    let speedups: Vec<f64> = runs.iter().map(|&(s, c)| s / c).collect();
     SizeResult {
         name: format!("n{n}_d{d}_w{w}"),
         nodes: n,
         links: net.link_count(),
         wavelengths: w,
         requests: reqs,
-        scratch_ns_per_req: scratch_ns,
-        csr_ns_per_req: csr_ns,
-        csr_speedup: scratch_ns / csr_ns,
+        scratch_ns_per_req: median(runs.iter().map(|r| r.0).collect()),
+        csr_ns_per_req: median(runs.iter().map(|r| r.1).collect()),
+        csr_speedup: median(speedups.clone()),
+        repeat_speedups: speedups,
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (reqs, passes) = if quick { (200, 3) } else { (2000, 5) };
+    let (reqs, passes, repeats) = if quick { (200, 3, 1) } else { (2000, 5, 5) };
 
     println!("aux-engine — scratch rebuild vs CSR engine (ns/request)\n");
     let mut table = Table::new(&["size", "m", "W", "scratch ns", "csr ns", "csr speedup"]);
     let mut sizes = Vec::new();
     for &(n, d, w) in &[(50usize, 4usize, 8usize), (100, 4, 8), (200, 4, 8)] {
-        let res = measure(n, d, w, reqs, passes, 0xA0 + n as u64);
+        let res = measure(n, d, w, reqs, passes, repeats, 0xA0 + n as u64);
         table.row(vec![
             res.name.clone(),
             res.links.to_string(),

@@ -38,11 +38,15 @@
 //! The engine trusts the state's change clocks. Syncing one engine against
 //! *independently mutated clones* of a state can alias clock values and
 //! miss updates; call [`AuxEngine::invalidate`] (or use one engine per
-//! state lineage) in that situation. Syncing against a state whose clock
-//! went *backwards* (a fresh or deserialized state) is detected and handled
-//! by a full refresh.
+//! state lineage) in that situation. A [`Txn`] rollback moves the clock
+//! backwards within one lineage: report it with [`AuxEngine::rewind`] (or
+//! [`RouterCtx::rollback`], which does so for every engine it holds) and
+//! the next sync refreshes only the restored links. Syncing against a
+//! state whose clock went *backwards* unreported (a fresh or deserialized
+//! state) is detected and handled by a full refresh.
 
 use crate::aux_graph::{AuxArc, AuxNode, AuxSpec, AuxWeights, ThresholdBasis};
+use crate::journal::Txn;
 use crate::network::{ResidualState, WdmNetwork};
 use wdm_graph::suurballe::DisjointPair;
 use wdm_graph::{EdgeId, FlatView, IntWeights, NodeId, Path, Potentials, SearchArena};
@@ -140,9 +144,16 @@ pub struct AuxEngine {
     enabled: Vec<bool>,
     /// Per physical link: admitted under the current state + threshold.
     admitted: Vec<bool>,
-    /// State change clock at the last sync.
+    /// State change clock at the last sync (lowered by
+    /// [`AuxEngine::rewind`]).
     synced_clock: u64,
     ever_synced: bool,
+    /// Per physical link: refresh on the next sync whatever its clock stamp
+    /// says (a rollback restored the link to a stamp the engine may have
+    /// synced past).
+    forced: Vec<bool>,
+    /// Whether any `forced` bit is set.
+    forced_any: bool,
     /// Set by [`AuxEngine::set_threshold`]: admission of *every* link must
     /// be recomputed on the next sync.
     mask_stale: bool,
@@ -294,6 +305,8 @@ impl AuxEngine {
             nodes: net.graph().node_count(),
             synced_clock: 0,
             ever_synced: false,
+            forced: vec![false; m],
+            forced_any: false,
             mask_stale: false,
             cur_s: None,
             cur_t: None,
@@ -381,11 +394,27 @@ impl AuxEngine {
         self.ever_synced = false;
     }
 
+    /// Reports a rollback of the synced state's lineage to change clock
+    /// `clock` that restored `links` (the links a [`Txn`] touched). Lowers
+    /// the sync mark to `clock`, so links mutated after the rollback count
+    /// as dirty even once the clock re-advances past the old mark, and
+    /// forces a refresh of `links`, whose restored stamps may predate the
+    /// mark. The next [`AuxEngine::sync`] refreshes just those links plus
+    /// any mutated since — never all of them.
+    pub fn rewind(&mut self, clock: u64, links: impl IntoIterator<Item = EdgeId>) {
+        self.synced_clock = self.synced_clock.min(clock);
+        for e in links {
+            self.forced[e.index()] = true;
+            self.forced_any = true;
+        }
+    }
+
     /// Brings the engine in line with `state` and the request `(s, t)`:
     /// refreshes weights and admission of links mutated since the last
-    /// sync (all links on first use, after [`AuxEngine::invalidate`], or
-    /// when the state's clock moved backwards), reapplies the admission
-    /// mask if the threshold changed, and retargets the terminal taps.
+    /// sync or forced by [`AuxEngine::rewind`] (all links on first use,
+    /// after [`AuxEngine::invalidate`], or when the state's clock moved
+    /// backwards unreported), reapplies the admission mask if the threshold
+    /// changed, and retargets the terminal taps.
     /// Returns what was recomputed (telemetry's cache-outcome signal).
     pub fn sync(
         &mut self,
@@ -407,12 +436,13 @@ impl AuxEngine {
         // all-zero potential is always feasible, so reset (satellite of the
         // `ResidualState`-clock-restart hazard: all-dirty ⇒ full π rebuild).
         let reset_pi = self.warm && (full || self.mask_stale);
-        if full || self.mask_stale || state.change_clock() != self.synced_clock {
+        if full || self.mask_stale || self.forced_any || state.change_clock() != self.synced_clock {
             self.pass += 1;
             let m = net.link_count();
             for ei in 0..m {
                 let e = EdgeId::from(ei);
-                let dirty = full || state.link_change_clock(e) > self.synced_clock;
+                let forced = self.forced_any && std::mem::take(&mut self.forced[ei]);
+                let dirty = full || forced || state.link_change_clock(e) > self.synced_clock;
                 if dirty {
                     self.refresh_weights(net, state, e);
                     stats.links_refreshed += 1;
@@ -422,6 +452,7 @@ impl AuxEngine {
                 }
             }
             self.mask_stale = false;
+            self.forced_any = false;
             self.synced_clock = state.change_clock();
             self.ever_synced = true;
         }
@@ -913,7 +944,14 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
     /// context matters.
     pub fn set_warm_potentials(&mut self, on: bool) {
         self.warm = on;
-        for e in [
+        for e in self.engines_mut() {
+            e.set_warm_potentials(on);
+        }
+    }
+
+    /// Every engine built so far.
+    fn engines_mut(&mut self) -> impl Iterator<Item = &mut AuxEngine> {
+        [
             &mut self.g_prime,
             &mut self.g_c,
             &mut self.g_c_prospective,
@@ -922,9 +960,6 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
         ]
         .into_iter()
         .flatten()
-        {
-            e.set_warm_potentials(on);
-        }
     }
 
     /// A cheap clone for a speculative worker: engines and arena buffers are
@@ -974,23 +1009,66 @@ impl<R: Recorder, T: Tracer> RouterCtx<R, T> {
 
     /// Invalidates every held engine (see [`AuxEngine::invalidate`]). Call
     /// when reusing the context across independent [`ResidualState`]
-    /// lineages.
+    /// lineages; a rollback within the lineage this context routes on goes
+    /// through [`RouterCtx::rollback`] instead.
     pub fn invalidate(&mut self) {
-        for e in [
-            &mut self.g_prime,
-            &mut self.g_c,
-            &mut self.g_c_prospective,
-            &mut self.g_rc,
-            &mut self.g_rc_printed,
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for e in self.engines_mut() {
             e.invalidate();
         }
         // Warm-start memory keys on a change clock that is only meaningful
         // within one lineage.
         self.mincog_warm = None;
+    }
+
+    /// Rolls `txn` back (see [`Txn::rollback`]) and keeps this context warm
+    /// across it: every held engine is rewound (see [`AuxEngine::rewind`])
+    /// to the restored clock and the links the transaction touched, so the
+    /// next search refreshes those links only. The MinCog warm start is
+    /// dropped only if it was recorded after the restored clock, where
+    /// later mutations could re-issue its epoch for a different state.
+    ///
+    /// Use this for every rollback of a transaction over the state this
+    /// context routes on, whether or not the context synced inside it.
+    pub fn rollback(&mut self, txn: Txn<'_>) {
+        // Each logged mutation ticked the clock once; the rollback retracts
+        // exactly those ticks.
+        let restored = txn.state().change_clock() - txn.touched() as u64;
+        for e in self.engines_mut() {
+            e.rewind(restored, txn.touched_links());
+        }
+        if self.mincog_warm.is_some_and(|(epoch, _)| epoch > restored) {
+            self.mincog_warm = None;
+        }
+        txn.rollback();
+    }
+
+    /// Syncs the engine for `spec`'s family against `state` and the request
+    /// `(s, t)`, exactly as a search would, and returns it with what the
+    /// sync recomputed. For observing the engine a search would run over
+    /// (e.g. comparing its [`AuxEngine::enabled_arcs`] with a scratch
+    /// build); the sync is not counted in [`RouterCtx::request_stats`].
+    pub fn synced_engine(
+        &mut self,
+        net: &WdmNetwork,
+        state: &ResidualState,
+        s: NodeId,
+        t: NodeId,
+        spec: AuxSpec,
+    ) -> (&AuxEngine, SyncStats) {
+        let RouterCtx {
+            g_prime,
+            g_c,
+            g_c_prospective,
+            g_rc,
+            g_rc_printed,
+            warm,
+            ..
+        } = self;
+        let (eng, _) =
+            Self::engine_slot(g_prime, g_c, g_c_prospective, g_rc, g_rc_printed, net, spec);
+        eng.set_warm_potentials(*warm);
+        let sync = eng.sync(net, state, s, t);
+        (eng, sync)
     }
 
     /// The engine for `spec`'s family (building it on first use or after a
@@ -1272,6 +1350,40 @@ mod tests {
             NodeId(3),
             AuxSpec::g_c(2.0, 0.3),
         );
+    }
+
+    #[test]
+    fn rewind_refreshes_only_the_restored_links() {
+        let net = fig1_like();
+        let mut st = ResidualState::fresh(&net);
+        st.occupy(&net, EdgeId(4), Wavelength(2)).unwrap();
+        let spec = AuxSpec::g_prime();
+        let mut eng = AuxEngine::new(&net, spec);
+        let (s, t) = (NodeId(0), NodeId(3));
+        assert_equiv(&net, &st, &mut eng, s, t, spec);
+        let before = st.change_clock();
+
+        // Sync inside a transaction, then roll it back: the engine has seen
+        // clock `before + 2`, the state is back at `before`.
+        let mut txn = Txn::begin(&mut st);
+        txn.occupy(&net, EdgeId(0), Wavelength(0)).unwrap();
+        txn.release(EdgeId(4), Wavelength(2)).unwrap();
+        assert_equiv(&net, txn.state(), &mut eng, s, t, spec);
+        let links: Vec<EdgeId> = txn.touched_links().collect();
+        assert_eq!(links, vec![EdgeId(0), EdgeId(4)]);
+        eng.rewind(before, links);
+        txn.rollback();
+        assert_eq!(st.change_clock(), before);
+
+        // Two forward mutations re-issue the clock values the engine synced
+        // at; only the restored links and the newly mutated one refresh.
+        st.occupy(&net, EdgeId(1), Wavelength(1)).unwrap();
+        st.occupy(&net, EdgeId(1), Wavelength(2)).unwrap();
+        let stats = eng.sync(&net, &st, s, t);
+        assert!(!stats.full);
+        assert_eq!(stats.links_refreshed, 3);
+        assert_equiv(&net, &st, &mut eng, s, t, spec);
+        assert_eq!(eng.sync(&net, &st, s, t), SyncStats::default());
     }
 
     #[test]

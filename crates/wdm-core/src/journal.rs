@@ -309,11 +309,14 @@ enum Undo {
 /// O(m) `used`/`link_clock` vectors.
 ///
 /// Note for warm [`RouterCtx`] holders: a rollback moves the clock
-/// *backwards*, and interleaved later mutations can re-advance it past a
-/// consumer's sync point, masking the regression detector — invalidate any
-/// context that observed the transactional state before routing again.
+/// *backwards*, and later mutations can re-advance it past a consumer's
+/// sync point, masking the regression detector. Roll back through
+/// [`RouterCtx::rollback`], which tells the context's engines the restored
+/// clock and the links the log touched, so their next sync refreshes
+/// exactly those links plus any mutated since.
 ///
 /// [`RouterCtx`]: crate::aux_engine::RouterCtx
+/// [`RouterCtx::rollback`]: crate::aux_engine::RouterCtx::rollback
 #[derive(Debug)]
 pub struct Txn<'a> {
     state: &'a mut ResidualState,
@@ -339,6 +342,15 @@ impl<'a> Txn<'a> {
     #[inline]
     pub fn touched(&self) -> usize {
         self.undo.len()
+    }
+
+    /// The link of every successful mutation so far, read off the undo log
+    /// (a link mutated twice appears twice). These are the only links whose
+    /// payload and clock stamp a rollback restores.
+    pub fn touched_links(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.undo.iter().map(|u| match *u {
+            Undo::Occupied { e, .. } | Undo::Released { e, .. } | Undo::SetFailed { e, .. } => e,
+        })
     }
 
     /// Transactional [`ResidualState::occupy`].

@@ -25,12 +25,15 @@
 //! worker re-routes *under the write lock*, where the state cannot move.
 //!
 //! Rollbacks regress the state's change clocks, which silently breaks
-//! every warm context that already synced past them. The daemon handles
-//! this with an **epoch counter**: bumped under the write lock on every
-//! rollback; each worker re-checks it after acquiring the read lock and
-//! invalidates its context on a mismatch. Fail/repair/teardown only move
-//! clocks forward, so they need no epoch bump — the dirty-link sync
-//! catches them.
+//! every warm context that already synced past them. `try_commit` rolls
+//! the provisioner's own context back with the state
+//! ([`RouterCtx::rollback`]). The worker contexts sync only under the read
+//! lock, so never inside the transaction; the daemon still resyncs them
+//! conservatively with an **epoch counter**: bumped under the write lock
+//! on every rollback; each worker re-checks it after acquiring the read
+//! lock and invalidates its context on a mismatch. Fail/repair/teardown
+//! only move clocks forward, so they need no epoch bump — the dirty-link
+//! sync catches them.
 //!
 //! Durability: every journal event is flushed to the [`WalSink`] before
 //! the request is answered, so an answered mutation is never lost — a
@@ -637,9 +640,10 @@ fn dispatch<R, W, T, CR, WT>(
                     Some(id)
                 }
                 Err(_conflict) => {
-                    // try_commit already invalidated the provisioner's
-                    // own context; the rollback regressed clocks, so
-                    // every worker context must resync too.
+                    // try_commit already rolled the provisioner's own
+                    // context back with the state; the worker contexts
+                    // never synced inside the transaction, and the epoch
+                    // bump resyncs them conservatively.
                     epoch.fetch_add(1, Ordering::AcqRel);
                     sink.add(Counter::ServeConflictRetries, 1);
                     match guard.route(s, t) {

@@ -182,12 +182,6 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         &mut self.ctx
     }
 
-    /// Drops all warm engine state (required after any clock regression a
-    /// caller performed on the state behind this context's back).
-    pub fn invalidate_ctx(&mut self) {
-        self.ctx.invalidate();
-    }
-
     /// Whether the journal actually records events.
     pub fn journal_enabled(&self) -> bool {
         self.journal.enabled()
@@ -241,10 +235,11 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
     /// landed since the route was computed rolls the state back exactly
     /// and returns the error instead of panicking.
     ///
-    /// On `Err` the rollback has regressed the change clocks; this
-    /// context is invalidated here, but any *other* warm context that
-    /// observed the state (daemon worker pools) must be invalidated by
-    /// the caller before it routes again.
+    /// On `Err` the state is back at its pre-commit clock. This context
+    /// is rolled back with it ([`RouterCtx::rollback`]: its engines stay
+    /// warm and refresh only the links the failed occupy touched); any
+    /// *other* warm context that shares the state (daemon worker pools)
+    /// is the caller's to resynchronise before it routes again.
     pub fn try_commit(
         &mut self,
         s: NodeId,
@@ -254,8 +249,7 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> NetProvisioner<'a, R, J, T> {
         let hops = route.channels();
         let mut txn = Txn::begin(&mut self.state);
         if let Err(err) = txn.occupy_hops(self.net, &hops) {
-            txn.rollback();
-            self.ctx.invalidate();
+            self.ctx.rollback(txn);
             return Err(err);
         }
         txn.commit();

@@ -38,10 +38,11 @@
 //!    live state by a channel-level set difference — release what the
 //!    worker occupied but the sweep did not commit, occupy what the sweep
 //!    committed but the worker did not apply. Mirrors are only ever
-//!    mutated through [`ResidualState::occupy`]/[`release`], so each
-//!    mirror's change clock advances monotonically in its **own lineage**
-//!    forever and the worker's incremental engine sync stays sound — no
-//!    `invalidate`, no skeleton rebuilds, warm across the whole batch.
+//!    mutated through [`ResidualState::occupy`] and
+//!    [`release`](ResidualState::release), so each mirror's change clock
+//!    advances monotonically in its **own lineage** forever and the
+//!    worker's incremental engine sync stays sound — no `invalidate`, no
+//!    skeleton rebuilds, warm across the whole batch.
 //!
 //! ## Why cross-shard demands cannot perturb the serial order
 //!

@@ -614,8 +614,7 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
                         // rejected; if it ever is, undo the whole probe and
                         // surface the error instead of panicking with
                         // channels stranded.
-                        txn.rollback();
-                        ctx.invalidate();
+                        ctx.rollback(txn);
                         return Err(err);
                     }
                     txn.commit();
@@ -625,10 +624,10 @@ impl<'a, R: Recorder, J: EventSink, T: Tracer> Simulator<'a, R, J, T> {
                     // No useful move: rewind the release. The rollback
                     // regresses the change clock, and later mutations could
                     // re-advance it past the router context's sync point
-                    // (masking the regression detector), so drop the warm
-                    // engines explicitly.
-                    txn.rollback();
-                    ctx.invalidate();
+                    // (masking the regression detector), so roll back
+                    // through the context: its engines then refresh just
+                    // the released links instead of every link.
+                    ctx.rollback(txn);
                     None
                 }
             };
